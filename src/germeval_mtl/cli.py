@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -301,7 +302,10 @@ def cmd_predict(args) -> int:
     for ckpt in args.checkpoint:
         if not Path(ckpt).exists():
             raise DataError(f"checkpoint not found: {ckpt}")
-        params, meta = md.load_checkpoint(ckpt)
+        try:
+            params, meta = md.load_checkpoint(ckpt)
+        except (ValueError, KeyError, zipfile.BadZipFile) as exc:
+            raise DataError(f"{ckpt}: unreadable checkpoint: {exc}") from exc
         stored = meta.get("vocab_hash")
         if stored is not None and stored != vocab_hash:
             raise ConfigError(
@@ -318,17 +322,18 @@ def cmd_predict(args) -> int:
     covered = [t for p, _ in models for t in p.head_tasks]
     if len(covered) != len(set(covered)):
         raise ConfigError("checkpoints cover overlapping tasks; pass one MTL or up to three distinct STL checkpoints")
+    limit = min(p.config.max_seq_len for p, _ in models)
+    max_len = limit if args.max_len is None else args.max_len
+    if not 3 <= max_len <= limit:
+        raise ConfigError(f"--max-len must be in [3, {limit}] (the smallest checkpoint max_seq_len), got {max_len}")
 
     ids, texts = dt.load_texts(args.data)
-    encoded = [tok.encode(vocab, text, args.max_len) for text in texts]
+    if not texts:
+        raise DataError(f"{args.data}: no rows to predict")
+    ds = dt.EncodedDataset(*md.stack_batch([tok.encode(vocab, text, max_len) for text in texts]),
+                           labels={}, example_ids=ids)
     preds: dict = {}
     for params, _ in models:
-        ds = dt.EncodedDataset(
-            ids=np.asarray([e.ids for e in encoded], dtype=np.int64),
-            attention_mask=np.asarray([e.attention_mask for e in encoded], dtype=np.float64),
-            labels={},
-            example_ids=ids,
-        )
         preds.update(tr.predict_dataset(params, ds, args.batch_size))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -485,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--data", required=True, help="file with comment_id and comment_text")
     p.add_argument("--out", required=True)
-    p.add_argument("--max-len", dest="max_len", type=int, default=120)
+    p.add_argument("--max-len", dest="max_len", type=int,
+                   help="encoded sequence length (default: the smallest checkpoint max_seq_len)")
     p.add_argument("--batch-size", dest="batch_size", type=int, default=32)
     p.set_defaults(func=cmd_predict)
 

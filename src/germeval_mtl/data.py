@@ -148,9 +148,11 @@ def write_predictions(path: str | Path, ids: list[str], preds: dict) -> None:
 
 
 def load_predictions(path: str | Path) -> tuple[list[str], dict]:
-    """Inverse of write_predictions; returns (ids, task -> 0/1 array)."""
-    spec = FormatSpec()
-    column_to_task = {c: t for t, c in spec.label_columns.items()}
+    """Inverse of write_predictions; returns (ids, task -> 0/1 array).
+
+    Duplicate ids are rejected: aligning them to gold labels is ambiguous.
+    """
+    task_of = {c: t for t, c in FormatSpec().label_columns.items()}
     path = Path(path)
     if not path.exists():
         raise DataError(f"predictions file not found: {path}")
@@ -158,15 +160,21 @@ def load_predictions(path: str | Path) -> tuple[list[str], dict]:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or "comment_id" not in reader.fieldnames:
             raise DataError(f"{path}: expected a header starting with comment_id")
-        tasks = [column_to_task[c] for c in reader.fieldnames if c in column_to_task]
-        if not tasks:
+        columns = {task_of[c]: c for c in reader.fieldnames if c in task_of}
+        if not columns:
             raise DataError(f"{path}: no recognized label columns in header")
-        ids, preds = [], {t: [] for t in tasks}
+        ids, preds, first_line = [], {t: [] for t in columns}, {}
         for row in reader:
             line = reader.line_num
-            ids.append(row["comment_id"].strip())
-            for task in tasks:
-                column = FormatSpec().label_columns[task]
+            if row["comment_id"] is None or any(row[c] is None for c in columns.values()):
+                raise DataError(f"{path}: line {line}: malformed row (field count mismatch)")
+            ex_id = row["comment_id"].strip()
+            if ex_id in first_line:
+                raise DataError(f"{path}: line {line}: duplicate comment_id {ex_id!r}"
+                                f" (first on line {first_line[ex_id]})")
+            first_line[ex_id] = line
+            ids.append(ex_id)
+            for task, column in columns.items():
                 preds[task].append(_parse_binary(row[column], column, line))
     return ids, {t: np.asarray(v, dtype=np.int64) for t, v in preds.items()}
 

@@ -265,19 +265,19 @@ def _cls_state(params, ids, attention_mask, train_mode, rng) -> ad.Tensor:
 
 
 def stl_forward(params: ModelParams, ids, attention_mask, train_mode: bool = False, rng=None) -> ad.Tensor:
-    """Single-task probabilities, shape (B, 2)."""
+    """Single-task head logits, shape (B, 2)."""
     if params.environment != STL:
         raise EnvironmentMismatch("stl_forward needs single-task parameters")
     h_cls = _cls_state(params, ids, attention_mask, train_mode, rng)
-    return classify(params.head(params.task), h_cls)
+    return head_logits(params.head(params.task), h_cls)
 
 
 def mtl_forward(params: ModelParams, ids, attention_mask, train_mode: bool = False, rng=None) -> dict:
-    """One shared encoder pass; per-task probabilities from three heads."""
+    """One shared encoder pass; per-task logits from three heads."""
     if params.environment != MTL:
         raise EnvironmentMismatch("mtl_forward needs multitask parameters")
     h_cls = _cls_state(params, ids, attention_mask, train_mode, rng)
-    return {task: classify(params.head(task), h_cls) for task in TASKS}
+    return {task: head_logits(params.head(task), h_cls) for task in TASKS}
 
 
 def mlm_forward(params: ModelParams, ids, attention_mask, train_mode: bool = False, rng=None) -> ad.Tensor:

@@ -28,23 +28,17 @@ class LossBundle:
         return getattr(self, _BUNDLE_FIELDS[task])
 
 
-def task_loss(outputs: ad.Tensor, labels) -> ad.Tensor:
-    """Mean binary cross-entropy for one task.
+def task_loss(logits: ad.Tensor, labels) -> ad.Tensor:
+    """Mean binary cross-entropy for one task, from (B, 2) head logits.
 
-    ``outputs`` may be raw (B, 2) scores or the softmax_rows output the
-    classification heads produce; in the latter case the loss is evaluated
-    from the pre-softmax scores, which keeps the fused log-softmax form
-    numerically stable while staying mathematically identical to applying
-    the one-hot cross-entropy to the softmax probabilities.
+    Probabilities are refused: the fused log-softmax in ``cross_entropy``
+    needs the pre-softmax scores to stay numerically stable.
     """
+    if logits.op == "softmax_rows":
+        raise ValueError("task_loss takes head logits, got softmax probabilities")
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and not np.isin(labels, (0, 1)).all():
         raise ValueError("task labels must be 0/1")
-    logits = outputs
-    if outputs.op == "softmax_rows":
-        if not outputs.parents:
-            raise ValueError("softmax output carries no graph; compute the loss from raw scores")
-        logits = outputs.parents[0]
     return ad.cross_entropy(logits, labels)
 
 

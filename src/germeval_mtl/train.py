@@ -141,50 +141,91 @@ def _steps_per_epoch(n: int, cfg: TrainConfig) -> int:
     return math.ceil(micro / cfg.gradient_accumulation_steps)
 
 
-def _batch_loss(params: md.ModelParams, ds: dt.EncodedDataset, idx: np.ndarray,
-                train_mode: bool, rng) -> ad.Tensor:
-    ids, mask = ds.ids[idx], ds.attention_mask[idx]
+def _head_logits(params: md.ModelParams, ids: np.ndarray, mask: np.ndarray,
+                 train_mode: bool = False, rng=None) -> dict:
     if params.environment == md.STL:
-        probs = md.stl_forward(params, ids, mask, train_mode, rng)
-        return obj.task_loss(probs, ds.labels[params.task][idx])
-    outputs = md.mtl_forward(params, ids, mask, train_mode, rng)
-    labels = {t: ds.labels[t][idx] for t in dt.TASKS}
-    return obj.loss_bundle(outputs, labels).l_multi
+        return {params.task: md.stl_forward(params, ids, mask, train_mode, rng)}
+    return md.mtl_forward(params, ids, mask, train_mode, rng)
+
+
+def _objective(params: md.ModelParams, logits: dict, labels: dict, rows) -> ad.Tensor:
+    """The task's own cross-entropy for a single-task model, the equal-weight
+    multitask mean otherwise."""
+    if params.environment == md.STL:
+        return obj.task_loss(logits[params.task], labels[params.task][rows])
+    return obj.loss_bundle(logits, {t: labels[t][rows] for t in dt.TASKS}).l_multi
+
+
+def _no_grad_pass(params: md.ModelParams, ds: dt.EncodedDataset, batch_size: int) -> tuple[list, dict]:
+    """One forward pass over ``ds`` in order, under no_grad.
+
+    Returns the (rows, {task: logits}) of every batch and the hard labels
+    per head task: argmax of the softmax, the only place probabilities
+    are formed.
+    """
+    batches = []
+    preds: dict = {t: [] for t in params.head_tasks}
+    with ad.no_grad():
+        for start in range(0, len(ds), batch_size):
+            rows = slice(start, min(start + batch_size, len(ds)))
+            logits = _head_logits(params, ds.ids[rows], ds.attention_mask[rows])
+            for t, z in logits.items():
+                preds[t].append(md.predict_labels(ad.softmax_rows(z)))
+            batches.append((rows, logits))
+    return batches, {t: np.concatenate(chunks) for t, chunks in preds.items()}
 
 
 def predict_dataset(params: md.ModelParams, ds: dt.EncodedDataset, batch_size: int = 32) -> dict:
     """Hard 0/1 labels for every covered task, deterministically."""
-    preds: dict = {t: [] for t in params.head_tasks}
-    with ad.no_grad():
-        for start in range(0, len(ds), batch_size):
-            ids = ds.ids[start : start + batch_size]
-            mask = ds.attention_mask[start : start + batch_size]
-            h_cls = md.encoder_forward(params, ids, mask)[:, 0, :]
-            for t in params.head_tasks:
-                preds[t].append(md.predict_labels(md.classify(params.head(t), h_cls)))
-    return {t: np.concatenate(chunks) for t, chunks in preds.items()}
+    return _no_grad_pass(params, ds, batch_size)[1]
 
 
 def evaluate_model(params: md.ModelParams, ds: dt.EncodedDataset, batch_size: int = 32) -> tuple[float, dict]:
-    """(validation loss, per-task macro F1) in eval mode.
+    """(validation loss, per-task macro F1) in eval mode, from one forward pass.
 
-    The loss is the quantity training minimizes: the task's own
-    cross-entropy for a single-task model, the equal-weight multitask mean
-    otherwise.
+    The loss is the quantity training minimizes, averaged over examples.
     """
-    total = 0.0
-    for start in range(0, len(ds), batch_size):
-        idx = np.arange(start, min(start + batch_size, len(ds)))
-        loss = _batch_loss(params, ds, idx, train_mode=False, rng=None)
-        total += float(loss.data) * len(idx)
-    val_loss = total / len(ds)
-    preds = predict_dataset(params, ds, batch_size)
+    batches, preds = _no_grad_pass(params, ds, batch_size)
+    total = sum(float(_objective(params, logits, ds.labels, rows).data) * (rows.stop - rows.start)
+                for rows, logits in batches)
     f1s = {t: mx.score(preds[t], ds.labels[t], "macro").f1 for t in params.head_tasks}
-    return val_loss, f1s
+    return total / len(ds), f1s
 
 
-def _classifier_tensors(params: md.ModelParams) -> dict:
-    return {n: t for n, t in params.tensors.items() if not n.startswith("mlm.")}
+def _optimize(tensors: dict, n: int, cfg: TrainConfig, shuffle_rng: np.random.Generator,
+              batch_loss, after_step=lambda opt_step: False) -> int:
+    """Shuffled micro-batches, accumulated gradients, one Adam step per window.
+
+    ``batch_loss(epoch, idx)`` gives the loss of one micro-batch, and
+    ``after_step(opt_step)`` runs after every full-window step; it returns
+    True to stop training at once. A partial window at the end of an epoch
+    is flushed as one more step without ``after_step``. Returns the number
+    of optimizer steps taken.
+    """
+    state = AdamState()
+    total_steps = cfg.num_epochs * _steps_per_epoch(n, cfg)
+    accum = cfg.gradient_accumulation_steps
+    opt_step = 0
+    for epoch in range(cfg.num_epochs):
+        pending = 0
+        for idx in _micro_batches(n, cfg.batch_size, shuffle_rng):
+            loss = batch_loss(epoch, idx)
+            if not np.isfinite(loss.data):
+                raise NumericError(f"non-finite training loss at step {opt_step}")
+            if loss.requires_grad:  # a masked-LM batch with nothing masked has no graph
+                scaled = loss / accum if accum > 1 else loss
+                scaled.backward()
+            pending += 1
+            if pending == accum:
+                adam_step(tensors, state, lr_at(opt_step, total_steps, cfg), cfg)
+                opt_step += 1
+                pending = 0
+                if after_step(opt_step):
+                    return opt_step
+        if pending:
+            adam_step(tensors, state, lr_at(opt_step, total_steps, cfg), cfg)
+            opt_step += 1
+    return opt_step
 
 
 def train_one(params: md.ModelParams, train_ds: dt.EncodedDataset, val_ds: dt.EncodedDataset,
@@ -206,19 +247,12 @@ def train_one(params: md.ModelParams, train_ds: dt.EncodedDataset, val_ds: dt.En
     record = RunRecord(seed=seed)
     shuffle_rng = np.random.default_rng((seed, 10))
     dropout_rng = np.random.default_rng((seed, 11))
-    state = AdamState()
-    optimizer_tensors = _classifier_tensors(params)
-
-    total_steps = cfg.num_epochs * _steps_per_epoch(len(train_ds), cfg)
-    accum = cfg.gradient_accumulation_steps
     best_loss = math.inf
     best_arrays = None
     bad_evals = 0
-    opt_step = 0
-    stop = False
 
-    def run_eval() -> None:
-        nonlocal best_loss, best_arrays, bad_evals, stop
+    def run_eval(opt_step: int) -> None:
+        nonlocal best_loss, best_arrays, bad_evals
         val_loss, f1s = evaluate(params, opt_step)
         if not math.isfinite(val_loss):
             raise NumericError(f"non-finite validation loss at step {opt_step}")
@@ -230,36 +264,21 @@ def train_one(params: md.ModelParams, train_ds: dt.EncodedDataset, val_ds: dt.En
             bad_evals = 0
         else:
             bad_evals += 1
-            if bad_evals >= cfg.early_stop_patience_evals:
-                record.stopped_early = True
-                stop = True
+            record.stopped_early = bad_evals >= cfg.early_stop_patience_evals
 
-    for _ in range(cfg.num_epochs):
-        pending = 0
-        for idx in _micro_batches(len(train_ds), cfg.batch_size, shuffle_rng):
-            loss = _batch_loss(params, train_ds, idx, train_mode=True, rng=dropout_rng)
-            if not np.isfinite(loss.data):
-                raise NumericError(f"non-finite training loss at step {opt_step}")
-            scaled = loss / accum if accum > 1 else loss
-            scaled.backward()
-            pending += 1
-            if pending == accum:
-                adam_step(optimizer_tensors, state, lr_at(opt_step, total_steps, cfg), cfg)
-                opt_step += 1
-                pending = 0
-                if opt_step % cfg.eval_every_batches == 0:
-                    run_eval()
-                    if stop:
-                        break
-        else:
-            if pending:  # flush a partial accumulation window at epoch end
-                adam_step(optimizer_tensors, state, lr_at(opt_step, total_steps, cfg), cfg)
-                opt_step += 1
-            continue
-        break
+    def batch_loss(epoch: int, idx: np.ndarray) -> ad.Tensor:
+        logits = _head_logits(params, train_ds.ids[idx], train_ds.attention_mask[idx], True, dropout_rng)
+        return _objective(params, logits, train_ds.labels, idx)
 
-    if not stop and (not record.eval_history or record.eval_history[-1][0] != opt_step):
-        run_eval()
+    def after_step(opt_step: int) -> bool:
+        if opt_step % cfg.eval_every_batches == 0:
+            run_eval(opt_step)
+        return record.stopped_early
+
+    classifier_tensors = {n: t for n, t in params.tensors.items() if not n.startswith("mlm.")}
+    opt_step = _optimize(classifier_tensors, len(train_ds), cfg, shuffle_rng, batch_loss, after_step)
+    if not record.stopped_early and (not record.eval_history or record.eval_history[-1][0] != opt_step):
+        run_eval(opt_step)
 
     if best_arrays is not None:
         params.load_arrays(best_arrays)
@@ -279,41 +298,20 @@ def lm_finetune(params: md.ModelParams, corpus: list, vocab: tok.Vocab, cfg: Tra
     if not corpus:
         raise ValueError("empty corpus for the LM stage")
     encoded = [tok.encode(vocab, text, max_len) for text in corpus]
-    lm_tensors = {
-        n: t for n, t in params.tensors.items()
-        if not n.startswith("head.")
-    }
-    state = AdamState()
-    shuffle_rng = np.random.default_rng((seed, 20))
+    lm_tensors = {n: t for n, t in params.tensors.items() if not n.startswith("head.")}
     dropout_rng = np.random.default_rng((seed, 21))
-    n = len(encoded)
-    total_steps = cfg.num_epochs * _steps_per_epoch(n, cfg)
-    accum = cfg.gradient_accumulation_steps
-    opt_step = 0
-    for epoch in range(cfg.num_epochs):
-        pending = 0
-        for idx in _micro_batches(n, cfg.batch_size, shuffle_rng):
-            masked, labels = [], []
-            for j in idx:
-                m, lab = tok.mask_for_mlm(vocab, encoded[j], rng_seed=(seed, 22, epoch, int(j)), mask_prob=mask_prob)
-                masked.append(m)
-                labels.append(lab)
-            ids, attn = md.stack_batch(masked)
-            logits = md.mlm_forward(params, ids, attn, train_mode=True, rng=dropout_rng)
-            loss = obj.mlm_loss(logits, np.asarray(labels))
-            if not np.isfinite(loss.data):
-                raise NumericError(f"non-finite masked-LM loss at step {opt_step}")
-            if loss.requires_grad:  # a batch with nothing masked contributes no gradient
-                scaled = loss / accum if accum > 1 else loss
-                scaled.backward()
-            pending += 1
-            if pending == accum:
-                adam_step(lm_tensors, state, lr_at(opt_step, total_steps, cfg), cfg)
-                opt_step += 1
-                pending = 0
-        if pending:
-            adam_step(lm_tensors, state, lr_at(opt_step, total_steps, cfg), cfg)
-            opt_step += 1
+
+    def batch_loss(epoch: int, idx: np.ndarray) -> ad.Tensor:
+        masked, labels = [], []
+        for j in idx:
+            m, lab = tok.mask_for_mlm(vocab, encoded[j], rng_seed=(seed, 22, epoch, int(j)), mask_prob=mask_prob)
+            masked.append(m)
+            labels.append(lab)
+        ids, attn = md.stack_batch(masked)
+        logits = md.mlm_forward(params, ids, attn, train_mode=True, rng=dropout_rng)
+        return obj.mlm_loss(logits, np.asarray(labels))
+
+    _optimize(lm_tensors, len(encoded), cfg, np.random.default_rng((seed, 20)), batch_loss)
     return params
 
 
@@ -395,6 +393,7 @@ def run_experiment(cfg: TrainConfig, examples: list, vocab: tok.Vocab,
     records: dict = {}
     models: dict = {}
     preds_by_task: dict = {t: [] for t in dt.TASKS}
+    model_keys = ["mtl"] if cfg.environment == md.MTL else list(dt.TASKS)
     for seed in cfg.seeds:
         records[seed] = {}
         models[seed] = {}
@@ -402,31 +401,17 @@ def run_experiment(cfg: TrainConfig, examples: list, vocab: tok.Vocab,
         if cfg.lm_stage:
             carrier = md.init_model(enc_cfg, md.MTL, with_mlm_head=True, seed=seed)
             lm_finetune(carrier, train_texts, vocab, cfg, seed, max_len)
-            lm_encoder_arrays = {
-                n: carrier.tensors[n].data.copy() for n in carrier.encoder_tensor_names()
-            }
+            lm_encoder_arrays = {n: carrier.tensors[n].data for n in carrier.encoder_tensor_names()}
 
-        if cfg.environment == md.MTL:
-            params = md.init_model(enc_cfg, md.MTL, seed=seed)
+        for key in model_keys:
+            params = md.init_model(enc_cfg, cfg.environment, task=None if key == "mtl" else key, seed=seed)
             if lm_encoder_arrays is not None:
                 params.load_arrays(lm_encoder_arrays)
                 md.reinit_heads(params, seed)
-            params, record = train_one(params, train_ds, val_ds, cfg, seed)
-            records[seed]["mtl"] = record
-            models[seed]["mtl"] = params
-            preds = predict_dataset(params, val_ds, cfg.batch_size)
-            for t in dt.TASKS:
-                preds_by_task[t].append(preds[t])
-        else:
-            for t in dt.TASKS:
-                params = md.init_model(enc_cfg, md.STL, task=t, seed=seed)
-                if lm_encoder_arrays is not None:
-                    params.load_arrays(lm_encoder_arrays)
-                    md.reinit_heads(params, seed)
-                params, record = train_one(params, train_ds, val_ds, cfg, seed)
-                records[seed][t] = record
-                models[seed][t] = params
-                preds_by_task[t].append(predict_dataset(params, val_ds, cfg.batch_size)[t])
+            params, records[seed][key] = train_one(params, train_ds, val_ds, cfg, seed)
+            models[seed][key] = params
+            for t, labels in predict_dataset(params, val_ds, cfg.batch_size).items():
+                preds_by_task[t].append(labels)
         logger.info("seed %d done (%s)", seed, cfg.environment_label)
 
     per_seed = {t: np.stack(preds_by_task[t]) for t in dt.TASKS}

@@ -300,3 +300,49 @@ def test_pretrain_lm_standalone(workspace, tmp_path, capsys):
     assert meta["seed"] == 3
     assert params.has_mlm_head
     assert "top-1 accuracy" in capsys.readouterr().out
+
+
+def test_predict_max_len_defaults_to_checkpoint(workspace, trained_run, tmp_path, capsys):
+    root, data_path, _, vocab_path = workspace
+    base = ["predict", "--checkpoint", str(trained_run / "ckpt-seed1.npz"), "--vocab", str(vocab_path),
+            "--data", str(data_path)]
+    explicit, default = tmp_path / "explicit.csv", tmp_path / "default.csv"
+    assert cli.main([*base, "--out", str(explicit), "--max-len", "24"]) == 0
+    assert cli.main([*base, "--out", str(default)]) == 0  # checkpoint max_seq_len is 24
+    assert default.read_bytes() == explicit.read_bytes()
+    capsys.readouterr()
+    assert cli.main([*base, "--out", str(tmp_path / "long.csv"), "--max-len", "25"]) == 1
+    err = capsys.readouterr().err
+    assert "max-len" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "long.csv").exists()
+
+
+def test_predict_bad_checkpoint_exits_2(workspace, trained_run, tmp_path, capsys):
+    root, data_path, _, vocab_path = workspace
+    with np.load(trained_run / "ckpt-seed1.npz") as bundle:
+        arrays = {k: bundle[k] for k in bundle.files}
+    meta = json.loads(str(arrays["__meta__"]))
+    meta["format_version"] = 99
+    arrays["__meta__"] = np.asarray(json.dumps(meta))
+    future = tmp_path / "future.npz"
+    np.savez(future, **arrays)
+    truncated = tmp_path / "truncated.npz"
+    blob = (trained_run / "ckpt-seed1.npz").read_bytes()
+    truncated.write_bytes(blob[: len(blob) // 2])
+    for ckpt, reason in ((future, "unsupported checkpoint format 99"), (truncated, "unreadable")):
+        capsys.readouterr()
+        rc = cli.main(["predict", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
+                       "--data", str(data_path), "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert reason in err and len(err.strip().splitlines()) == 1
+
+
+def test_evaluate_rejects_duplicate_ids(workspace, trained_run, tmp_path, capsys):
+    gold = trained_run / "val-gold.csv"
+    ids, preds = dt.load_predictions(gold)
+    duplicated = tmp_path / "duplicated.csv"
+    dt.write_predictions(duplicated, [*ids, ids[0]], {t: np.append(v, 1 - v[0]) for t, v in preds.items()})
+    rc = cli.main(["evaluate", "--gold", str(gold), "--pred", str(duplicated)])
+    assert rc == 2
+    assert "duplicate comment_id" in capsys.readouterr().err

@@ -215,3 +215,10 @@ def test_single_task_predictions_round_trip(tmp_path):
     ids, loaded = dt.load_predictions(path)
     assert list(loaded) == ["engaging"]
     assert np.array_equal(loaded["engaging"], [0, 1])
+
+
+def test_predictions_reject_duplicate_ids(tmp_path):
+    path = tmp_path / "preds.csv"
+    dt.write_predictions(path, ["a", "b", "a"], {"toxic": np.array([1, 0, 0])})
+    with pytest.raises(dt.DataError, match=r"line 4: duplicate comment_id 'a' \(first on line 2\)"):
+        dt.load_predictions(path)

@@ -148,11 +148,12 @@ def test_mtl_forward_runs_encoder_once():
     outputs = md.mtl_forward(params, ids, mask)
     counts = ad.op_counts()
     assert counts["embedding_lookup"] == 1  # one token-embedding gather = one encoder pass
-    assert counts["softmax_rows"] == TINY.n_layers + len(TASKS)  # attention + three heads
+    assert counts["softmax_rows"] == TINY.n_layers  # attention only: heads emit logits
     assert set(outputs) == set(TASKS)
-    for probs in outputs.values():
-        assert probs.shape == (3, 2)
-        assert np.abs(probs.data.sum(axis=1) - 1.0).max() <= 1e-9
+    h_cls = md.encoder_forward(params, ids, mask)[:, 0, :]
+    for task, logits in outputs.items():
+        assert logits.shape == (3, 2)
+        assert np.array_equal(logits.data, md.head_logits(params.head(task), h_cls).data)
 
 
 def test_mtl_head_isolation():

@@ -40,20 +40,22 @@ def test_task_loss_direct_value():
     assert loss.item() == pytest.approx(math.log(1.0 + math.exp(-2.0)), abs=1e-9)
 
 
-def test_task_loss_accepts_softmax_outputs():
+def test_task_loss_rejects_softmax_outputs():
     rng = np.random.default_rng(0)
     head = md.ClassificationHead(ad.parameter(rng.standard_normal((5, 2))), ad.parameter(np.zeros(2)))
     h = ad.Tensor(rng.standard_normal((6, 5)))
     labels = rng.integers(0, 2, size=6)
-    via_probs = obj.task_loss(md.classify(head, h), labels)
-    via_logits = obj.task_loss(md.head_logits(head, h), labels)
-    assert via_probs.item() == via_logits.item()
+    with pytest.raises(ValueError, match="logits"):
+        obj.task_loss(md.classify(head, h), labels)
+    with ad.no_grad():  # no graph behind the probabilities: still refused
+        with pytest.raises(ValueError, match="logits"):
+            obj.task_loss(md.classify(head, h), labels)
+    assert np.isfinite(obj.task_loss(md.head_logits(head, h), labels).item())
 
 
 def test_task_loss_stable_for_extreme_scores():
     scores = ad.parameter(np.array([[900.0, -900.0]]))
-    probs = ad.softmax_rows(scores)
-    loss = obj.task_loss(probs, [1])
+    loss = obj.task_loss(scores, [1])
     assert np.isfinite(loss.item()) and loss.item() == pytest.approx(1800.0)
 
 

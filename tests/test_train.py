@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -360,3 +362,62 @@ def test_run_experiment_lm_stage_changes_label_only_in_manifest():
     assert plain.environment == "MTL" and staged.environment == "LM+MTL"
     assert plain.seeds == staged.seeds
     assert plain.val_ids == staged.val_ids
+
+
+@pytest.mark.parametrize("environment", [md.STL, md.MTL])
+def test_evaluate_model_runs_one_encoder_pass_per_batch(environment):
+    examples, vocab, enc = make_setup(50)
+    _, val_ds = encode_split(examples, vocab)
+    params = md.init_model(enc, environment, task="toxic" if environment == md.STL else None, seed=1)
+    ad.reset_op_counts()
+    loss, f1s = tr.evaluate_model(params, val_ds, batch_size=4)
+    assert ad.op_counts()["embedding_lookup"] == -(-len(val_ds) // 4)  # ceil: one per batch
+    assert "cross_entropy" in ad.op_counts() and math.isfinite(loss)
+    assert set(f1s) == set(params.head_tasks)
+
+
+def _count_adam_steps(monkeypatch) -> list:
+    calls = []
+    real = tr.adam_step
+
+    def counting(tensors, *args):
+        calls.append(len(tensors))
+        return real(tensors, *args)
+
+    monkeypatch.setattr(tr, "adam_step", counting)
+    return calls
+
+
+def test_both_stages_flush_partial_windows(monkeypatch):
+    examples, vocab, enc = make_setup(40)
+    train_ds, val_ds = encode_split(examples, vocab)  # 32 train: 8 micro-batches of 4
+    cfg = tr.TrainConfig(learning_rate=1e-3, num_epochs=2, batch_size=4, gradient_accumulation_steps=3,
+                         eval_every_batches=1000, environment="mtl", seeds=(1,))
+    per_epoch = tr._steps_per_epoch(len(train_ds), cfg)
+    assert per_epoch == 3  # windows of 3, 3 and a partial 2
+    calls = _count_adam_steps(monkeypatch)
+    _, record = tr.train_one(md.init_model(enc, md.MTL, seed=1), train_ds, val_ds, cfg, seed=1)
+    assert len(calls) == cfg.num_epochs * per_epoch
+    assert [step for step, _, _ in record.eval_history] == [len(calls)]
+
+    calls.clear()
+    corpus = [ex.text for ex in examples[:10]]  # micro-batches of 4, 4 | 2: the second window is partial
+    lm_cfg = tr.TrainConfig(learning_rate=1e-3, num_epochs=3, batch_size=4, gradient_accumulation_steps=2)
+    carrier = md.init_model(enc, md.MTL, with_mlm_head=True, seed=2)
+    tr.lm_finetune(carrier, corpus, vocab, lm_cfg, seed=2, max_len=24)
+    assert len(calls) == lm_cfg.num_epochs * tr._steps_per_epoch(len(corpus), lm_cfg) == 6
+
+
+def test_train_one_takes_no_step_after_early_stop(monkeypatch):
+    examples, vocab, enc = make_setup(40)
+    train_ds, val_ds = encode_split(examples, vocab)  # 32 train: 8 micro-batches of 4
+    cfg = tr.TrainConfig(learning_rate=1e-3, num_epochs=5, batch_size=4, gradient_accumulation_steps=3,
+                         eval_every_batches=2, early_stop_patience_evals=1, environment="stl", seeds=(1,))
+    calls = _count_adam_steps(monkeypatch)
+    _, record = tr.train_one(md.init_model(enc, md.STL, task="toxic", seed=1), train_ds, val_ds, cfg, seed=1,
+                             val_metrics_fn=lambda p, step: (0.5, {}))
+    assert record.stopped_early
+    # step 3 flushes epoch 1; step 4 ends the first window of epoch 2 and its evaluation stops
+    # training there, with no flush and no further window
+    assert [step for step, _, _ in record.eval_history] == [2, 4]
+    assert len(calls) == 4
