@@ -68,6 +68,16 @@ def _coerce(key: str, raw: str):
         raise ConfigError(f"cannot parse {key}={raw!r} as {target_name}") from exc
 
 
+def _parse_pair(text: str, where: str) -> tuple[str, object]:
+    """Split `key = value` on the first '=', reject unknown keys, coerce the value."""
+    if "=" not in text:
+        raise ConfigError(f"{where}: expected key = value, got {text!r}")
+    key, raw = (part.strip() for part in text.split("=", 1))
+    if key not in _ALL_KEYS:
+        raise ConfigError(f"{where}: unknown config key {key!r}")
+    return key, _coerce(key, raw)
+
+
 def parse_config_file(path: str | Path) -> dict:
     """Read `key = value` lines; # starts a comment; unknown keys rejected."""
     values = {}
@@ -76,43 +86,23 @@ def parse_config_file(path: str | Path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     for line_num, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{line_num}: expected key = value, got {line!r}")
-        key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"{path}:{line_num}: unknown config key {key!r}")
-        values[key] = _coerce(key, raw)
+        if line:
+            key, value = _parse_pair(line, f"{path}:{line_num}")
+            values[key] = value
     return values
 
 
 def resolve_config(args) -> dict:
-    """Config file values, overridden by --set pairs and dedicated flags."""
+    """Config file values, overridden by --set pairs and dedicated flags.
+
+    Every dedicated flag's dest is its config key.
+    """
     values = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    for pair in getattr(args, "set", None) or []:
-        if "=" not in pair:
-            raise ConfigError(f"--set expects KEY=VALUE, got {pair!r}")
-        key, raw = (part.strip() for part in pair.split("=", 1))
-        if key not in _ALL_KEYS:
-            raise ConfigError(f"--set: unknown config key {key!r}")
-        values[key] = _coerce(key, raw)
-    flag_map = {
-        "env": "environment",
-        "lm": "lm_stage",
-        "seeds": "seeds",
-        "lr": "learning_rate",
-        "epochs": "num_epochs",
-        "batch_size": "batch_size",
-        "split_seed": "split_seed",
-        "max_len": "max_len",
-        "averaging": "averaging",
-        "model_name": "model_name",
-    }
-    for flag, key in flag_map.items():
-        value = getattr(args, flag, None)
+    values.update(_parse_pair(pair, "--set") for pair in getattr(args, "set", None) or [])
+    for key in _ALL_KEYS:
+        value = getattr(args, key, None)
         if value is not None:
-            values[key] = _coerce(key, str(value)) if isinstance(value, str) else value
+            values[key] = _coerce(key, value) if isinstance(value, str) else value
     return values
 
 
@@ -160,6 +150,8 @@ def _sidecar(path: Path, cfg_hash: str) -> None:
 
 
 def cmd_build_vocab(args) -> int:
+    if args.max_size <= len(tok.SPECIAL_TOKENS):
+        raise ConfigError(f"--max-size must exceed the {len(tok.SPECIAL_TOKENS)} special tokens, got {args.max_size}")
     examples = dt.load_dataset(args.data)
     if not examples:
         raise DataError(f"{args.data}: no rows to build a vocabulary from")
@@ -230,13 +222,16 @@ def cmd_pretrain_lm(args) -> int:
 def cmd_train(args) -> int:
     train_cfg, enc_cfg, extras, vocab, resolved, cfg_hash = _prepare(args)
     examples = dt.load_dataset(args.data)
-    if len(examples) < 2:
-        raise DataError(f"{args.data}: need at least 2 examples to split")
+    split_ratio = 0.8
+    if not all(dt.split(examples, split_ratio, train_cfg.split_seed)):
+        raise DataError(f"{args.data}: {len(examples)} examples leave the train or validation side"
+                        f" of the {split_ratio} split empty")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     vocab_hash = file_hash(args.vocab)
 
-    result = tr.run_experiment(train_cfg, examples, vocab, enc_cfg, max_len=extras["max_len"])
+    result = tr.run_experiment(train_cfg, examples, vocab, enc_cfg, max_len=extras["max_len"],
+                               split_ratio=split_ratio)
 
     checkpoints = {}
     for seed in result.seeds:
@@ -296,6 +291,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.batch_size < 1:
+        raise ConfigError(f"--batch-size must be at least 1, got {args.batch_size}")
     vocab = _load_vocab(args.vocab)
     vocab_hash = file_hash(args.vocab)
     models = []
@@ -441,14 +438,14 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override any config key (repeatable)")
-    p.add_argument("--env", choices=(md.STL, md.MTL), help="training environment")
+    p.add_argument("--env", dest="environment", choices=(md.STL, md.MTL), help="training environment")
     lm = p.add_mutually_exclusive_group()
-    lm.add_argument("--lm", dest="lm", action="store_true", default=None,
+    lm.add_argument("--lm", dest="lm_stage", action="store_true", default=None,
                     help="run the masked-LM stage before classification")
-    lm.add_argument("--no-lm", dest="lm", action="store_false", default=None)
+    lm.add_argument("--no-lm", dest="lm_stage", action="store_false", default=None)
     p.add_argument("--seeds", help="comma-separated seed list")
-    p.add_argument("--lr", type=float, help="peak learning rate")
-    p.add_argument("--epochs", type=int, help="training epochs")
+    p.add_argument("--lr", dest="learning_rate", type=float, help="peak learning rate")
+    p.add_argument("--epochs", dest="num_epochs", type=int, help="training epochs")
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--split-seed", dest="split_seed", type=int)
     p.add_argument("--max-len", dest="max_len", type=int, help="encoded sequence length")

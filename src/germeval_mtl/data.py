@@ -64,65 +64,67 @@ class DatasetSummary:
         return self.counts.get((toxic, engaging, fact_claiming), 0)
 
 
-def _parse_binary(value: str, column: str, line_num: int) -> int:
-    value = value.strip()
-    if value not in ("0", "1"):
-        raise DataError(f"line {line_num}: column {column!r} has non-binary label {value!r}")
-    return int(value)
+def _read(path: str | Path, spec: FormatSpec, text: bool, labels: bool | None) -> tuple[list, list, dict]:
+    """The one reader behind every loader: (ids, texts, task -> 0/1 labels).
+
+    A header is required and every row has exactly its field count; ids are
+    stripped and unique. ``labels`` True requires every label column, None
+    takes the label columns the header has (at least one), False reads none.
+    ``texts`` stays empty unless ``text``. Blank lines are skipped.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"{path}: file not found")
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle, delimiter=spec.delimiter)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file, expected a header row")
+        col = {name: i for i, name in enumerate(header)}
+        task_of = {c: t for t, c in spec.label_columns.items()}
+        if labels is None:  # header order, as the file was written
+            wanted = {task_of[c]: c for c in col if c in task_of}
+        else:
+            wanted = spec.label_columns if labels else {}
+        needed = [spec.id_column, *([spec.text_column] if text else []), *wanted.values()]
+        missing = [c for c in needed if c not in col]
+        if missing:
+            raise DataError(f"{path}: header is missing columns {missing}")
+        if labels is None and not wanted:
+            raise DataError(f"{path}: header has none of the label columns {list(task_of)}")
+        ids, texts, values, first_line = [], [], {t: [] for t in wanted}, {}
+        for row in reader:
+            line = reader.line_num
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}: line {line}: expected {len(header)} fields, got {len(row)}")
+            ex_id = row[col[spec.id_column]].strip()
+            if ex_id in first_line:
+                raise DataError(f"{path}: line {line}: duplicate {spec.id_column} {ex_id!r}"
+                                f" (first on line {first_line[ex_id]})")
+            first_line[ex_id] = line
+            ids.append(ex_id)
+            if text:
+                texts.append(unicodedata.normalize("NFC", row[col[spec.text_column]]))
+            for task, column in wanted.items():
+                value = row[col[column]].strip()
+                if value not in ("0", "1"):
+                    raise DataError(f"{path}: line {line}: column {column!r} has non-binary label {value!r}")
+                values[task].append(int(value))
+    return ids, texts, values
 
 
 def load_dataset(path: str | Path, format_spec: FormatSpec | None = None) -> list[Example]:
     """Read one Example per row, preserving text verbatim (after NFC)."""
-    spec = format_spec or FormatSpec()
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
-    examples = []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle, delimiter=spec.delimiter)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file, expected a header row")
-        needed = [spec.id_column, spec.text_column, *spec.label_columns.values()]
-        missing = [c for c in needed if c not in reader.fieldnames]
-        if missing:
-            raise DataError(f"{path}: header is missing columns {missing}")
-        for row in reader:
-            line = reader.line_num
-            if None in row or any(row[c] is None for c in needed):
-                raise DataError(f"line {line}: malformed row (field count mismatch)")
-            labels = {
-                task: _parse_binary(row[column], column, line)
-                for task, column in spec.label_columns.items()
-            }
-            examples.append(
-                Example(
-                    id=row[spec.id_column].strip(),
-                    text=unicodedata.normalize("NFC", row[spec.text_column]),
-                    **labels,
-                )
-            )
-    return examples
+    ids, texts, labels = _read(path, format_spec or FormatSpec(), text=True, labels=True)
+    return [Example(ex_id, text, **{t: v[n] for t, v in labels.items()})
+            for n, (ex_id, text) in enumerate(zip(ids, texts))]
 
 
 def load_texts(path: str | Path, format_spec: FormatSpec | None = None) -> tuple[list[str], list[str]]:
     """Read (ids, texts) from a file that may or may not carry labels."""
-    spec = format_spec or FormatSpec()
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"input file not found: {path}")
-    ids, texts = [], []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle, delimiter=spec.delimiter)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file, expected a header row")
-        for column in (spec.id_column, spec.text_column):
-            if column not in reader.fieldnames:
-                raise DataError(f"{path}: header is missing column {column!r}")
-        for row in reader:
-            if row[spec.id_column] is None or row[spec.text_column] is None:
-                raise DataError(f"line {reader.line_num}: malformed row (field count mismatch)")
-            ids.append(row[spec.id_column].strip())
-            texts.append(unicodedata.normalize("NFC", row[spec.text_column]))
+    ids, texts, _ = _read(path, format_spec or FormatSpec(), text=True, labels=False)
     return ids, texts
 
 
@@ -141,8 +143,8 @@ def write_predictions(path: str | Path, ids: list[str], preds: dict) -> None:
     tasks = [t for t in TASKS if t in preds]
     spec = FormatSpec()
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["comment_id", *(spec.label_columns[t] for t in tasks)])
+        writer = csv.writer(handle, delimiter=spec.delimiter)
+        writer.writerow([spec.id_column, *(spec.label_columns[t] for t in tasks)])
         for i, ex_id in enumerate(ids):
             writer.writerow([ex_id, *(int(preds[t][i]) for t in tasks)])
 
@@ -150,33 +152,11 @@ def write_predictions(path: str | Path, ids: list[str], preds: dict) -> None:
 def load_predictions(path: str | Path) -> tuple[list[str], dict]:
     """Inverse of write_predictions; returns (ids, task -> 0/1 array).
 
-    Duplicate ids are rejected: aligning them to gold labels is ambiguous.
+    Takes whichever label columns the header has. Duplicate ids are
+    rejected: aligning them to gold labels is ambiguous.
     """
-    task_of = {c: t for t, c in FormatSpec().label_columns.items()}
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"predictions file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or "comment_id" not in reader.fieldnames:
-            raise DataError(f"{path}: expected a header starting with comment_id")
-        columns = {task_of[c]: c for c in reader.fieldnames if c in task_of}
-        if not columns:
-            raise DataError(f"{path}: no recognized label columns in header")
-        ids, preds, first_line = [], {t: [] for t in columns}, {}
-        for row in reader:
-            line = reader.line_num
-            if row["comment_id"] is None or any(row[c] is None for c in columns.values()):
-                raise DataError(f"{path}: line {line}: malformed row (field count mismatch)")
-            ex_id = row["comment_id"].strip()
-            if ex_id in first_line:
-                raise DataError(f"{path}: line {line}: duplicate comment_id {ex_id!r}"
-                                f" (first on line {first_line[ex_id]})")
-            first_line[ex_id] = line
-            ids.append(ex_id)
-            for task, column in columns.items():
-                preds[task].append(_parse_binary(row[column], column, line))
-    return ids, {t: np.asarray(v, dtype=np.int64) for t, v in preds.items()}
+    ids, _, labels = _read(path, FormatSpec(), text=False, labels=None)
+    return ids, {t: np.asarray(v, dtype=np.int64) for t, v in labels.items()}
 
 
 def summarize(examples: list[Example]) -> DatasetSummary:

@@ -82,9 +82,6 @@ class ModelParams:
             )
         return ClassificationHead(self.tensors[f"head.{task}.W"], self.tensors[f"head.{task}.b"])
 
-    def named_tensors(self) -> dict:
-        return self.tensors
-
     def encoder_tensor_names(self) -> list:
         return [n for n in self.tensors if not n.startswith(("head.", "mlm."))]
 

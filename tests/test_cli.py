@@ -346,3 +346,45 @@ def test_evaluate_rejects_duplicate_ids(workspace, trained_run, tmp_path, capsys
     rc = cli.main(["evaluate", "--gold", str(gold), "--pred", str(duplicated)])
     assert rc == 2
     assert "duplicate comment_id" in capsys.readouterr().err
+
+
+def _one_line_error(capsys, rc, expected_rc, needle):
+    err = capsys.readouterr().err
+    assert rc == expected_rc, err
+    assert needle in err and len(err.strip().splitlines()) == 1, err
+
+
+def test_build_vocab_max_size_at_special_tokens_exits_1(workspace, tmp_path, capsys):
+    _, data_path, _, _ = workspace
+    rc = cli.main(["build-vocab", "--data", str(data_path), "--out", str(tmp_path / "v.txt"), "--max-size", "5"])
+    _one_line_error(capsys, rc, 1, "--max-size must exceed the 5 special tokens")
+
+
+def test_train_with_an_empty_split_side_exits_2(workspace, tmp_path, capsys):
+    _, _, config_path, vocab_path = workspace
+    two_rows = tmp_path / "two.csv"
+    dt.write_dataset(two_rows, dt.synth_generate(2, seed=1))  # round(0.8 * 2) leaves validation empty
+    rc = cli.main(["train", "--config", str(config_path), "--data", str(two_rows),
+                   "--vocab", str(vocab_path), "--out", str(tmp_path / "run")])
+    _one_line_error(capsys, rc, 2, "validation side")
+
+
+def test_train_with_duplicate_ids_exits_2(workspace, tmp_path, capsys):
+    _, _, config_path, vocab_path = workspace
+    examples = dt.synth_generate(20, seed=2)
+    repeated = tmp_path / "repeated.csv"
+    dt.write_dataset(repeated, examples + examples[:3])
+    rc = cli.main(["train", "--config", str(config_path), "--data", str(repeated),
+                   "--vocab", str(vocab_path), "--out", str(tmp_path / "run")])
+    _one_line_error(capsys, rc, 2, "line 22: duplicate comment_id 'synth-00000' (first on line 2)")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("batch_size", ["0", "-1"])
+def test_predict_nonpositive_batch_size_exits_1(workspace, trained_run, tmp_path, capsys, batch_size):
+    _, data_path, _, vocab_path = workspace
+    out = tmp_path / "p.csv"
+    rc = cli.main(["predict", "--checkpoint", str(trained_run / "ckpt-seed1.npz"), "--vocab", str(vocab_path),
+                   "--data", str(data_path), "--out", str(out), "--batch-size", batch_size])
+    _one_line_error(capsys, rc, 1, "--batch-size must be at least 1")
+    assert not out.exists()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -222,3 +224,37 @@ def test_predictions_reject_duplicate_ids(tmp_path):
     dt.write_predictions(path, ["a", "b", "a"], {"toxic": np.array([1, 0, 0])})
     with pytest.raises(dt.DataError, match=r"line 4: duplicate comment_id 'a' \(first on line 2\)"):
         dt.load_predictions(path)
+
+
+@pytest.mark.parametrize("loader, row, reason", [
+    ("load_texts", "c2,extra,1,0,1,x", "expected 5 fields, got 6"),
+    ("load_predictions", "c2,extra,1,0,1,x", "expected 5 fields, got 6"),
+    ("load_dataset", "c1,again,0,0,0", r"duplicate comment_id 'c1' \(first on line 2\)"),
+    ("load_texts", " c1 ,again,0,0,0", r"duplicate comment_id 'c1' \(first on line 2\)"),
+])
+def test_loaders_share_one_row_contract(tmp_path, loader, row, reason):
+    path = tmp_path / "bad.csv"
+    _write(path, ["c1,ok,1,0,1", row])
+    with pytest.raises(dt.DataError, match=f"^{re.escape(str(path))}: line 3: {reason}$"):
+        getattr(dt, loader)(path)
+
+
+@pytest.mark.parametrize("loader", ["load_dataset", "load_texts", "load_predictions"])
+def test_every_loader_error_names_the_path(tmp_path, loader):
+    bad = {  # file name -> (content, or None for no file; error prefix after the path)
+        "missing.csv": (None, ""),
+        "empty.csv": ("", ""),
+        "no_id.csv": ("comment_text,Sub1_Toxic\nx,1\n", ""),
+        "short.csv": (f"{HEADER}\nc1,ok,1,0\n", "line 2: "),
+        "long.csv": (f"{HEADER}\nc1,ok,1,0,1,x\n", "line 2: "),
+        "duplicate.csv": (f"{HEADER}\nc1,ok,1,0,1\nc1,ok,1,0,1\n", "line 3: "),
+    }
+    if loader != "load_texts":
+        bad["label.csv"] = (f"{HEADER}\nc1,ok,2,0,1\n", "line 2: ")
+    for name, (content, where) in bad.items():
+        path = tmp_path / name
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        with pytest.raises(dt.DataError) as info:
+            getattr(dt, loader)(path)
+        assert str(info.value).startswith(f"{path}: {where}"), str(info.value)
