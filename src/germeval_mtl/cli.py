@@ -9,6 +9,7 @@ hash of the resolved configuration into everything it writes. Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -34,38 +35,30 @@ class ConfigError(Exception):
     """Bad usage, unknown keys, unparsable values, or inconsistent settings."""
 
 
-_TRAIN_KEYS = {f.name: f.type for f in dataclasses.fields(tr.TrainConfig)}
-_ENCODER_KEYS = {f.name: f.type for f in dataclasses.fields(md.EncoderConfig)}
-_EXTRA_KEYS = {"averaging": str, "model_name": str, "max_len": int}
-_ALL_KEYS = {**_TRAIN_KEYS, **_ENCODER_KEYS, **_EXTRA_KEYS}
-
-_EXTRA_DEFAULTS = {"averaging": "macro", "model_name": "scratch", "max_len": 0}
+# Every settable key and its default; a value is parsed by its default's type.
+# vocab_size is not settable: the vocabulary file fixes it.
+_TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(tr.TrainConfig)}
+_ENCODER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(md.EncoderConfig) if f.name != "vocab_size"}
+_EXTRA_DEFAULTS = {"averaging": "macro", "model_name": "scratch", "max_len": 0}  # max_len 0 = max_seq_len
+_DEFAULTS = {**_TRAIN_DEFAULTS, **_ENCODER_DEFAULTS, **_EXTRA_DEFAULTS}
 
 
 def _coerce(key: str, raw: str):
-    """Parse a config value by the destination field's type."""
-    if key == "seeds":
-        try:
-            return tuple(int(part) for part in raw.replace(",", " ").split())
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse seeds from {raw!r}") from exc
-    target = _ALL_KEYS[key]
-    target_name = target if isinstance(target, str) else target.__name__
+    """Parse a config value by the type of the key's default."""
+    kind = type(_DEFAULTS[key])
     try:
-        if target_name == "bool":
+        if kind is tuple:
+            return tuple(int(part) for part in raw.replace(",", " ").split())
+        if kind is bool:
             low = raw.strip().lower()
             if low in ("true", "1", "yes", "on"):
                 return True
             if low in ("false", "0", "no", "off"):
                 return False
             raise ValueError(raw)
-        if target_name == "int":
-            return int(raw)
-        if target_name == "float":
-            return float(raw)
-        return raw.strip()
+        return raw.strip() if kind is str else kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"cannot parse {key}={raw!r} as {target_name}") from exc
+        raise ConfigError(f"cannot parse {key}={raw!r} as {kind.__name__}") from exc
 
 
 def _parse_pair(text: str, where: str) -> tuple[str, object]:
@@ -73,7 +66,7 @@ def _parse_pair(text: str, where: str) -> tuple[str, object]:
     if "=" not in text:
         raise ConfigError(f"{where}: expected key = value, got {text!r}")
     key, raw = (part.strip() for part in text.split("=", 1))
-    if key not in _ALL_KEYS:
+    if key not in _DEFAULTS:
         raise ConfigError(f"{where}: unknown config key {key!r}")
     return key, _coerce(key, raw)
 
@@ -99,34 +92,19 @@ def resolve_config(args) -> dict:
     """
     values = parse_config_file(args.config) if getattr(args, "config", None) else {}
     values.update(_parse_pair(pair, "--set") for pair in getattr(args, "set", None) or [])
-    for key in _ALL_KEYS:
+    for key in _DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
             values[key] = _coerce(key, value) if isinstance(value, str) else value
     return values
 
 
-def build_configs(values: dict) -> tuple[tr.TrainConfig, md.EncoderConfig, dict]:
-    train_kwargs = {k: v for k, v in values.items() if k in _TRAIN_KEYS}
-    enc_kwargs = {k: v for k, v in values.items() if k in _ENCODER_KEYS}
-    extras = dict(_EXTRA_DEFAULTS)
-    extras.update({k: v for k, v in values.items() if k in _EXTRA_KEYS})
-    if extras["averaging"] not in ("macro", "positive_class"):
-        raise ConfigError(f"averaging must be macro or positive_class, got {extras['averaging']!r}")
-    try:
-        train_cfg = tr.TrainConfig(**train_kwargs)
-        enc_cfg = md.EncoderConfig(**enc_kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return train_cfg, enc_cfg, extras
-
-
-def resolved_dict(train_cfg: tr.TrainConfig, enc_cfg: md.EncoderConfig, extras: dict) -> dict:
-    out = dataclasses.asdict(train_cfg)
-    out.update(dataclasses.asdict(enc_cfg))
-    out.update(extras)
-    out["seeds"] = list(train_cfg.seeds)
-    return out
+def _encoded_length(value: int | None, limit: int, name: str, limit_name: str) -> int:
+    """The encoded sequence length: ``value``, or ``limit`` when it is None; it must be in [3, limit]."""
+    length = limit if value is None else value
+    if not 3 <= length <= limit:
+        raise ConfigError(f"{name} must be in [3, {limit}] ({limit_name}), got {length}")
+    return length
 
 
 def config_hash(resolved: dict) -> str:
@@ -152,10 +130,9 @@ def _sidecar(path: Path, cfg_hash: str) -> None:
 def cmd_build_vocab(args) -> int:
     if args.max_size <= len(tok.SPECIAL_TOKENS):
         raise ConfigError(f"--max-size must exceed the {len(tok.SPECIAL_TOKENS)} special tokens, got {args.max_size}")
-    examples = dt.load_dataset(args.data)
-    if not examples:
-        raise DataError(f"{args.data}: no rows to build a vocabulary from")
-    corpus = [ex.text for ex in examples]
+    corpus = [ex.text for ex in dt.load_dataset(args.data)]
+    if not any(tok.pre_tokenize(text) for text in corpus):
+        raise DataError(f"{args.data}: no words to build a vocabulary from")
     vocab = tok.build_vocab(corpus, max_size=args.max_size, min_freq=args.min_freq)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -183,28 +160,33 @@ def _load_vocab(path: str) -> tok.Vocab:
 
 
 def _prepare(args):
-    values = resolve_config(args)
-    train_cfg, enc_cfg, extras = build_configs(values)
+    """Resolve, validate and hash the settings of a training command."""
+    values = {**_DEFAULTS, **resolve_config(args)}
+    if values["averaging"] not in mx.AVERAGING_MODES:
+        raise ConfigError(f"averaging must be one of {', '.join(mx.AVERAGING_MODES)}, got {values['averaging']!r}")
     vocab = _load_vocab(args.vocab)
-    # the embedding table must match the actual vocabulary file
-    enc_cfg = dataclasses.replace(enc_cfg, vocab_size=len(vocab))
-    max_len = extras["max_len"] or enc_cfg.max_seq_len
-    if max_len > enc_cfg.max_seq_len:
-        raise ConfigError(f"max_len {max_len} exceeds max_seq_len {enc_cfg.max_seq_len}")
-    extras["max_len"] = max_len
-    resolved = resolved_dict(train_cfg, enc_cfg, extras)
-    return train_cfg, enc_cfg, extras, vocab, resolved, config_hash(resolved)
+    try:
+        train_cfg = tr.TrainConfig(**{k: values[k] for k in _TRAIN_DEFAULTS})
+        enc_cfg = md.EncoderConfig(vocab_size=len(vocab), **{k: values[k] for k in _ENCODER_DEFAULTS})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    resolved = {**dataclasses.asdict(train_cfg), **dataclasses.asdict(enc_cfg),
+                **{k: values[k] for k in _EXTRA_DEFAULTS}}
+    resolved["max_len"] = _encoded_length(values["max_len"] or None, enc_cfg.max_seq_len, "max_len", "max_seq_len")
+    return train_cfg, enc_cfg, vocab, resolved, config_hash(resolved)
 
 
 def cmd_pretrain_lm(args) -> int:
-    train_cfg, enc_cfg, extras, vocab, resolved, cfg_hash = _prepare(args)
+    train_cfg, enc_cfg, vocab, resolved, cfg_hash = _prepare(args)
     examples = dt.load_dataset(args.data)
     corpus = [ex.text for ex in examples]
     if not corpus:
         raise DataError(f"{args.data}: no rows to pretrain on")
     seed = args.seed if args.seed is not None else train_cfg.seeds[0]
+    if seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {seed}")
     params = md.init_model(enc_cfg, md.MTL, with_mlm_head=True, seed=seed)
-    tr.lm_finetune(params, corpus, vocab, train_cfg, seed, extras["max_len"])
+    tr.lm_finetune(params, corpus, vocab, train_cfg, seed, resolved["max_len"])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     md.save_checkpoint(params, out, extra_meta={
@@ -213,14 +195,14 @@ def cmd_pretrain_lm(args) -> int:
         "config_hash": cfg_hash,
         "vocab_hash": file_hash(args.vocab),
     })
-    accuracy = tr.mlm_top1_accuracy(params, corpus, vocab, extras["max_len"], seed=seed)
+    accuracy = tr.mlm_top1_accuracy(params, corpus, vocab, resolved["max_len"], seed=seed)
     print(f"LM checkpoint written to {out}")
     print(f"masked-token top-1 accuracy on the corpus: {accuracy:.4f}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    train_cfg, enc_cfg, extras, vocab, resolved, cfg_hash = _prepare(args)
+    train_cfg, enc_cfg, vocab, resolved, cfg_hash = _prepare(args)
     examples = dt.load_dataset(args.data)
     split_ratio = 0.8
     if not all(dt.split(examples, split_ratio, train_cfg.split_seed)):
@@ -230,7 +212,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     vocab_hash = file_hash(args.vocab)
 
-    result = tr.run_experiment(train_cfg, examples, vocab, enc_cfg, max_len=extras["max_len"],
+    result = tr.run_experiment(train_cfg, examples, vocab, enc_cfg, max_len=resolved["max_len"],
                                split_ratio=split_ratio)
 
     checkpoints = {}
@@ -259,7 +241,7 @@ def cmd_train(args) -> int:
 
     manifest = {
         "format_version": 1,
-        "model_name": extras["model_name"],
+        "model_name": resolved["model_name"],
         "environment": result.environment,
         "config_hash": cfg_hash,
         "config": resolved,
@@ -279,12 +261,12 @@ def cmd_train(args) -> int:
         },
         "ensemble_val_metrics": {
             task: dataclasses.asdict(metric)
-            for task, metric in result.metrics(extras["averaging"]).items()
+            for task, metric in result.metrics(resolved["averaging"]).items()
         },
     }
     _write_json(out_dir / "manifest.json", manifest)
     print(f"experiment {result.environment} complete: {len(checkpoints)} checkpoints in {out_dir}")
-    for task, metric in result.metrics(extras["averaging"]).items():
+    for task, metric in result.metrics(resolved["averaging"]).items():
         print(f"  val {task}: P={metric.precision:.4f} R={metric.recall:.4f} F1={metric.f1:.4f}"
               f" ({metric.averaging})")
     return EXIT_OK
@@ -319,10 +301,8 @@ def cmd_predict(args) -> int:
     covered = [t for p, _ in models for t in p.head_tasks]
     if len(covered) != len(set(covered)):
         raise ConfigError("checkpoints cover overlapping tasks; pass one MTL or up to three distinct STL checkpoints")
-    limit = min(p.config.max_seq_len for p, _ in models)
-    max_len = limit if args.max_len is None else args.max_len
-    if not 3 <= max_len <= limit:
-        raise ConfigError(f"--max-len must be in [3, {limit}] (the smallest checkpoint max_seq_len), got {max_len}")
+    max_len = _encoded_length(args.max_len, min(p.config.max_seq_len for p, _ in models),
+                              "--max-len", "the smallest checkpoint max_seq_len")
 
     ids, texts = dt.load_texts(args.data)
     if not texts:
@@ -385,18 +365,16 @@ def cmd_evaluate(args) -> int:
     print(f"averaging mode: {args.averaging}")
     for name, by_task in per_system_metrics.items():
         for task, metric in by_task.items():
-            rows.append(
-                f"{name},{task},{metric.averaging},"
-                f"{metric.precision:.6f},{metric.recall:.6f},{metric.f1:.6f}"
-            )
+            rows.append([name, task, metric.averaging,
+                         f"{metric.precision:.6f}", f"{metric.recall:.6f}", f"{metric.f1:.6f}"])
             print(f"{name:24s} {task:14s} P={metric.precision:.4f} R={metric.recall:.4f} F1={metric.f1:.4f}")
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(
-            "system,task,averaging,precision,recall,f1\n" + "\n".join(rows) + "\n",
-            encoding="utf-8",
-        )
+        with out.open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["system", "task", "averaging", "precision", "recall", "f1"])
+            writer.writerows(rows)
         print(f"metrics written to {out}")
     return EXIT_OK
 
@@ -444,12 +422,12 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                     help="run the masked-LM stage before classification")
     lm.add_argument("--no-lm", dest="lm_stage", action="store_false", default=None)
     p.add_argument("--seeds", help="comma-separated seed list")
-    p.add_argument("--lr", dest="learning_rate", type=float, help="peak learning rate")
-    p.add_argument("--epochs", dest="num_epochs", type=int, help="training epochs")
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--split-seed", dest="split_seed", type=int)
-    p.add_argument("--max-len", dest="max_len", type=int, help="encoded sequence length")
-    p.add_argument("--averaging", choices=("macro", "positive_class"))
+    p.add_argument("--lr", dest="learning_rate", help="peak learning rate")
+    p.add_argument("--epochs", dest="num_epochs", help="training epochs")
+    p.add_argument("--batch-size", dest="batch_size")
+    p.add_argument("--split-seed", dest="split_seed")
+    p.add_argument("--max-len", dest="max_len", help="encoded sequence length (0: max_seq_len)")
+    p.add_argument("--averaging", choices=mx.AVERAGING_MODES)
     p.add_argument("--model-name", dest="model_name", help="row label in reports")
 
 
@@ -496,13 +474,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", action="append", required=True,
                    help="prediction file (repeat for a seed ensemble)")
-    p.add_argument("--averaging", choices=("macro", "positive_class"), default="macro")
+    p.add_argument("--averaging", choices=mx.AVERAGING_MODES, default="macro")
     p.add_argument("--out", help="write system,task,P,R,F1 rows here")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("report", help="combine train runs into the results grid")
     p.add_argument("--runs", nargs="+", required=True, help="train output directories")
-    p.add_argument("--averaging", choices=("macro", "positive_class"), default="macro")
+    p.add_argument("--averaging", choices=mx.AVERAGING_MODES, default="macro")
     p.add_argument("--out", help="basename for .txt and .csv report files")
     p.set_defaults(func=cmd_report)
     return parser

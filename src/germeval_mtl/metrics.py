@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import logging
 from dataclasses import dataclass
@@ -11,6 +12,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 ENVIRONMENT_ORDER = ("STL", "LM+STL", "MTL", "LM+MTL")
+AVERAGING_MODES = ("macro", "positive_class")
 
 
 @dataclass
@@ -141,15 +143,13 @@ def results_table(metrics: dict) -> ResultTable:
     lines.insert(1, "-" * len(lines[0]))
 
     buf = io.StringIO()
-    buf.write("model,environment,task,averaging,precision,recall,f1,best\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["model", "environment", "task", "averaging", "precision", "recall", "f1", "best"])
     for key in rows:
         model, env = key
         for task in tasks:
             m = metrics[key][task]
-            flag = int(key in best[task])
-            buf.write(
-                f"{model},{env},{task},{m.averaging},"
-                f"{m.precision:.6f},{m.recall:.6f},{m.f1:.6f},{flag}\n"
-            )
+            writer.writerow([model, env, task, m.averaging,
+                             f"{m.precision:.6f}", f"{m.recall:.6f}", f"{m.f1:.6f}", int(key in best[task])])
 
     return ResultTable(text="\n".join(lines) + "\n", csv=buf.getvalue(), best=best)

@@ -42,6 +42,11 @@ class EncoderConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
+        for name in ("vocab_size", "d_model", "n_heads", "d_ff"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.n_layers < 0:
+            raise ValueError(f"n_layers must be non-negative, got {self.n_layers}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.max_seq_len < 3:

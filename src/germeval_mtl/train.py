@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -44,9 +44,16 @@ class TrainConfig:
     split_seed: int = 20210  # one dataset split shared by every seed
 
     def __post_init__(self):
-        for name in ("learning_rate", "adam_epsilon", "warmup_ratio", "max_grad_norm"):
-            if getattr(self, name) <= 0 and name != "warmup_ratio":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        for name in ("learning_rate", "adam_epsilon", "max_grad_norm"):
+            if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
         if self.warmup_ratio < 0 or self.warmup_steps < 0:
             raise ValueError("warmup settings must be nonnegative")
         if self.batch_size < 1 or self.num_epochs < 1 or self.gradient_accumulation_steps < 1:
@@ -58,6 +65,8 @@ class TrainConfig:
         if not self.seeds:
             raise ValueError("need at least one seed")
         self.seeds = tuple(int(s) for s in self.seeds)
+        if min(self.seeds) < 0 or self.split_seed < 0:  # NumPy seeds are non-negative
+            raise ValueError("seeds and split_seed must be non-negative")
 
     @property
     def environment_label(self) -> str:
@@ -363,15 +372,6 @@ class ExperimentResult:
             for t in dt.TASKS
         }
 
-    def seed_metrics(self, averaging: str = "macro") -> dict:
-        out = {}
-        for pos, seed in enumerate(self.seeds):
-            out[seed] = {
-                t: mx.score(self.per_seed_preds[t][pos], self.val_gold[t], averaging)
-                for t in dt.TASKS
-            }
-        return out
-
 
 def run_experiment(cfg: TrainConfig, examples: list, vocab: tok.Vocab,
                    enc_cfg: md.EncoderConfig, max_len: int | None = None,
@@ -407,7 +407,6 @@ def run_experiment(cfg: TrainConfig, examples: list, vocab: tok.Vocab,
             params = md.init_model(enc_cfg, cfg.environment, task=None if key == "mtl" else key, seed=seed)
             if lm_encoder_arrays is not None:
                 params.load_arrays(lm_encoder_arrays)
-                md.reinit_heads(params, seed)
             params, records[seed][key] = train_one(params, train_ds, val_ds, cfg, seed)
             models[seed][key] = params
             for t, labels in predict_dataset(params, val_ds, cfg.batch_size).items():

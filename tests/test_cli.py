@@ -1,4 +1,7 @@
+import csv
 import json
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -388,3 +391,69 @@ def test_predict_nonpositive_batch_size_exits_1(workspace, trained_run, tmp_path
                    "--data", str(data_path), "--out", str(out), "--batch-size", batch_size])
     _one_line_error(capsys, rc, 1, "--batch-size must be at least 1")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "train --set vocab_size=3",
+    "train --set n_heads=0",
+    "train --set d_model=0",
+    "train --set d_ff=-1",
+    "train --set n_layers=-1",
+    "train --set warmup_ratio=nan",
+    "train --set learning_rate=nan",
+    "train --lr inf",
+    "train --set max_grad_norm=nan",
+    "train --set adam_beta1=1.5",
+    "train --set adam_beta2=1",
+    "train --seeds -1",
+    "train --split-seed -1",
+    "train --max-len 2",
+    "train --max-len=-1",
+    "train --max-len 25",
+    "train --epochs 1.5",
+    "pretrain-lm --max-len 2",
+    "pretrain-lm --seed=-1",
+])
+def test_out_of_range_setting_exits_1(workspace, tmp_path, capsys, argv):
+    _, data_path, config_path, vocab_path = workspace
+    command, *extra = argv.split()
+    out_dir = tmp_path / "run"
+    out = out_dir / "lm.npz" if command == "pretrain-lm" else out_dir
+    rc = cli.main([command, "--config", str(config_path), *extra, "--data", str(data_path),
+                   "--vocab", str(vocab_path), "--out", str(out)])
+    _one_line_error(capsys, rc, 1, "config error")
+    assert not out_dir.exists()
+
+
+def test_build_vocab_on_blank_texts_exits_2(tmp_path, capsys):
+    blank = tmp_path / "blank.csv"
+    blank.write_text("comment_id,comment_text,Sub1_Toxic,Sub2_Engaging,Sub3_FactClaiming\n"
+                     "a, ,0,0,0\nb,,1,0,0\n", encoding="utf-8")
+    rc = cli.main(["build-vocab", "--data", str(blank), "--out", str(tmp_path / "v.txt")])
+    _one_line_error(capsys, rc, 2, "no words to build a vocabulary from")
+    assert not (tmp_path / "v.txt").exists()
+
+
+def test_metric_csvs_escape_names(workspace, trained_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+    manifest["model_name"] = "bert, large"
+    (run / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    shutil.copy(run / "preds-seed1.csv", tmp_path / "seed,1.csv")
+    assert cli.main(["report", "--runs", str(run), "--out", str(tmp_path / "grid")]) == 0
+    assert cli.main(["evaluate", "--gold", str(run / "val-gold.csv"), "--pred", str(tmp_path / "seed,1.csv"),
+                     "--out", str(tmp_path / "eval.csv")]) == 0
+    capsys.readouterr()
+    for path, name in ((tmp_path / "grid.csv", "bert, large"), (tmp_path / "eval.csv", "seed,1")):
+        header, *rows = csv.reader(path.read_text(encoding="utf-8").splitlines())
+        assert rows and all(len(row) == len(header) and row[0] == name for row in rows)
+
+
+def test_readme_config_block_lists_every_settable_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Configuration", 1)[1].split("```", 2)[1]
+    pairs = [pair for line in block.splitlines() for pair in re.findall(r"(\w+) = (\S+)", line.split("#")[0])]
+    assert sorted(key for key, _ in pairs) == sorted(cli._DEFAULTS)
+    for key, raw in pairs:
+        assert cli._coerce(key, raw) == cli._DEFAULTS[key], key
