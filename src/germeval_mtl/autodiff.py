@@ -51,7 +51,8 @@ class Tensor:
     """A float64 array plus the bookkeeping reverse-mode AD needs.
 
     ``data`` is treated as immutable once the tensor participates in a
-    graph; only ``grad`` is written afterwards. ``parents`` holds the
+    graph; only ``grad`` is written afterwards, in place once it exists (it
+    may be a view of a larger parameter buffer). ``parents`` holds the
     producing operation's inputs and ``backward_fn`` maps an upstream
     gradient to one contribution per parent.
     """
@@ -90,7 +91,8 @@ class Tensor:
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
     def zero_grad(self) -> None:
-        self.grad = None
+        if self.grad is not None:
+            self.grad[...] = 0.0
 
     # -- operators ---------------------------------------------------------
 
@@ -377,11 +379,12 @@ def cross_entropy(logits: Tensor, targets, ignore_index: int | None = None) -> T
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad ancestor of ``loss``.
+    """Populate ``grad`` on every requires_grad leaf ``loss`` depends on.
 
-    Adjoints are computed per call and added into any gradient already
-    present, so repeated calls without resetting accumulate (which is what
-    gradient accumulation over micro-batches relies on).
+    Adjoints are computed per call and added in place into any gradient
+    already present, so repeated calls without resetting accumulate (which
+    is what gradient accumulation over micro-batches relies on). Graph
+    nodes keep no gradient: each adjoint is dropped once passed on.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -405,9 +408,12 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
-        g = adjoint.get(id(node))
-        if g is None or node.backward_fn is None:
+    for node in reversed(topo):  # every consumer of a node comes before it
+        g = adjoint.pop(id(node), None)
+        if g is None:
+            continue
+        if node.backward_fn is None:  # a leaf keeps its gradient
+            node.grad = np.array(g) if node.grad is None else np.add(node.grad, g, out=node.grad)
             continue
         for par, contrib in zip(node.parents, node.backward_fn(g)):
             if contrib is None or not par.requires_grad:
@@ -417,11 +423,6 @@ def backward(loss: Tensor) -> None:
                 adjoint[key] = adjoint[key] + contrib
             else:
                 adjoint[key] = contrib
-    for node in topo:
-        g = adjoint.get(id(node))
-        if g is None:
-            continue
-        node.grad = np.array(g) if node.grad is None else node.grad + g
 
 
 # -- finite-difference oracle -------------------------------------------------
@@ -488,7 +489,7 @@ def grad_check(
         return tsum(mul(f(*args), weights))
 
     for x in inputs:
-        x.grad = None
+        x.zero_grad()
     loss = scalar(*inputs)
     loss.backward()
 

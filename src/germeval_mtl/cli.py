@@ -338,31 +338,24 @@ def cmd_evaluate(args) -> int:
     systems = {}
     for path in args.pred:
         pred_ids, preds = dt.load_predictions(path)
+        if not set(preds) & set(gold_labels):
+            raise DataError(f"{path}: no task column in common with {args.gold}")
         name = Path(path).stem
         if name in systems:
             name = str(path)
         systems[name] = _align_predictions(gold_ids, pred_ids, preds)
 
-    rows = []
-    per_system_metrics = {}
-    for name, preds in systems.items():
-        per_system_metrics[name] = {
-            t: mx.score(preds[t], gold_labels[t], args.averaging)
-            for t in preds
-            if t in gold_labels
-        }
+    per_system_metrics = {
+        name: {t: mx.score(labels, gold_labels[t], args.averaging) for t, labels in preds.items() if t in gold_labels}
+        for name, preds in systems.items()
+    }
     if len(systems) > 1:
-        shared = [
-            t for t in dt.TASKS
-            if t in gold_labels and all(t in preds for preds in systems.values())
-        ]
-        votes = {t: np.stack([systems[name][t] for name in systems]) for t in shared}
-        ensemble = {t: tr.ensemble_predict(votes[t]) for t in shared}
-        per_system_metrics["ensemble"] = {
-            t: mx.score(ensemble[t], gold_labels[t], args.averaging) for t in shared
-        }
+        shared = [t for t in dt.TASKS if t in gold_labels and all(t in preds for preds in systems.values())]
+        ensemble = {t: tr.ensemble_predict(np.stack([preds[t] for preds in systems.values()])) for t in shared}
+        per_system_metrics["ensemble"] = {t: mx.score(ensemble[t], gold_labels[t], args.averaging) for t in shared}
 
     print(f"averaging mode: {args.averaging}")
+    rows = []
     for name, by_task in per_system_metrics.items():
         for task, metric in by_task.items():
             rows.append([name, task, metric.averaging,
@@ -386,11 +379,19 @@ def cmd_report(args) -> int:
         manifest_path = run / "manifest.json"
         if not manifest_path.exists():
             raise DataError(f"no manifest.json in {run}")
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            key = (manifest.get("model_name", "scratch"), manifest["environment"])
+        except (ValueError, AttributeError, KeyError) as exc:  # not JSON, not an object, no environment
+            raise DataError(f"{run}: unreadable manifest.json: {exc!r}") from exc
+        if not all(isinstance(part, str) for part in key):
+            raise DataError(f"{run}: manifest.json model_name and environment must be strings, got {key!r}")
         gold_ids, gold = dt.load_predictions(run / "val-gold.csv")
         pred_ids, preds = dt.load_predictions(run / "preds-ensemble.csv")
+        missing = [t for t in dt.TASKS if t not in gold or t not in preds]
+        if missing:
+            raise DataError(f"{run}: val-gold.csv or preds-ensemble.csv lacks the tasks {missing}")
         aligned = _align_predictions(gold_ids, pred_ids, preds)
-        key = (manifest.get("model_name", "scratch"), manifest["environment"])
         grid[key] = {t: mx.score(aligned[t], gold[t], args.averaging) for t in dt.TASKS}
     table = mx.results_table(grid)
     print(f"averaging mode: {args.averaging}")

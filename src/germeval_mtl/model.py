@@ -61,20 +61,64 @@ class ClassificationHead:
     b: ad.Tensor  # (2,)
 
 
-class ModelParams:
-    """All learnable tensors plus the environment they were built for."""
+GROUPS = ("heads", "encoder", "mlm")  # arena memory order: each optimizer group is one slice
 
-    def __init__(self, config: EncoderConfig, environment: str, task: str | None,
-                 tensors: dict, has_mlm_head: bool):
+
+class ParamGroup(dict):
+    """Name -> parameter Tensor, each ``.data``/``.grad`` a view of this group's ``data``/``grad`` slice."""
+
+    def __init__(self, tensors: dict, data: np.ndarray, grad: np.ndarray):
+        super().__init__(tensors)
+        self.data, self.grad = data, grad
+
+
+def _layout(config: EncoderConfig, head_tasks: tuple, has_mlm_head: bool) -> dict:
+    """Arena group -> [(name, shape, init)]; init is "normal" (a truncated-normal draw) or a constant."""
+    d, v, ff = config.d_model, config.vocab_size, config.d_ff
+    encoder = [("tok_emb", (v, d), "normal"), ("pos_emb", (config.max_seq_len, d), "normal"),
+               ("emb_ln.g", (d,), 1.0), ("emb_ln.b", (d,), 0.0)]
+    for layer in range(config.n_layers):
+        p = f"layer{layer}."
+        for proj in "qkvo":
+            encoder += [(p + f"attn.W{proj}", (d, d), "normal"), (p + f"attn.b{proj}", (d,), 0.0)]
+        encoder += [(p + "ln1.g", (d,), 1.0), (p + "ln1.b", (d,), 0.0),
+                    (p + "ffn.W1", (d, ff), "normal"), (p + "ffn.b1", (ff,), 0.0),
+                    (p + "ffn.W2", (ff, d), "normal"), (p + "ffn.b2", (d,), 0.0),
+                    (p + "ln2.g", (d,), 1.0), (p + "ln2.b", (d,), 0.0)]
+    heads = [entry for task in head_tasks
+             for entry in ((f"head.{task}.W", (d, 2), "normal"), (f"head.{task}.b", (2,), 0.0))]
+    mlm = [("mlm.bias", (v,), 0.0)] if has_mlm_head else []  # output weights are tied to tok_emb
+    return {"heads": heads, "encoder": encoder, "mlm": mlm}
+
+
+class ModelParams:
+    """All learnable tensors plus the environment they were built for.
+
+    Each tensor is a view of one zeroed float64 data and grad arena laid out in
+    GROUPS order. ``tensors`` iterates in checkpoint order (encoder, mlm, heads),
+    which fixes the order of the saved arrays and of the clip norm's sum."""
+
+    def __init__(self, config: EncoderConfig, environment: str, task: str | None, has_mlm_head: bool):
         if environment not in (STL, MTL):
             raise ValueError(f"unknown environment {environment!r}")
         if environment == STL and task not in TASKS:
             raise ValueError(f"an {STL} model needs one of the tasks {TASKS}, got {task!r}")
-        self.config = config
-        self.environment = environment
+        self.config, self.environment, self.has_mlm_head = config, environment, has_mlm_head
         self.task = task if environment == STL else None
-        self.tensors = tensors
-        self.has_mlm_head = has_mlm_head
+        self.layout = _layout(config, self.head_tasks, has_mlm_head)
+        size = sum(math.prod(shape) for g in GROUPS for _, shape, _ in self.layout[g])
+        data, grad = np.zeros(size), np.zeros(size)
+        views, self.bounds, offset = {}, {}, 0
+        for g in GROUPS:
+            start = offset
+            for name, shape, _ in self.layout[g]:
+                stop = offset + math.prod(shape)
+                views[name] = ad.parameter(data[offset:stop].reshape(shape))
+                views[name].grad = grad[offset:stop].reshape(shape)
+                offset = stop
+            self.bounds[g] = slice(start, offset)
+        order = [name for g in ("encoder", "mlm", "heads") for name, _, _ in self.layout[g]]
+        self.tensors = ParamGroup({name: views[name] for name in order}, data, grad)
 
     @property
     def head_tasks(self) -> tuple:
@@ -87,23 +131,20 @@ class ModelParams:
             )
         return ClassificationHead(self.tensors[f"head.{task}.W"], self.tensors[f"head.{task}.b"])
 
+    def group(self, first: str, last: str | None = None) -> ParamGroup:
+        """Arena groups ``first`` through ``last``: their tensors and their one data and grad slice."""
+        groups = GROUPS[GROUPS.index(first):GROUPS.index(last or first) + 1]
+        span = slice(self.bounds[first].start, self.bounds[last or first].stop)
+        names = {name for g in groups for name, _, _ in self.layout[g]}
+        return ParamGroup({n: t for n, t in self.tensors.items() if n in names},
+                          self.tensors.data[span], self.tensors.grad[span])
+
     def encoder_tensor_names(self) -> list:
-        return [n for n in self.tensors if not n.startswith(("head.", "mlm."))]
+        return [name for name, _, _ in self.layout["encoder"]]
 
     def parameter_counts(self) -> dict:
-        groups = {"encoder": 0, "heads": 0, "mlm": 0}
-        for name, t in self.tensors.items():
-            if name.startswith("head."):
-                groups["heads"] += t.data.size
-            elif name.startswith("mlm."):
-                groups["mlm"] += t.data.size
-            else:
-                groups["encoder"] += t.data.size
-        groups["total"] = sum(groups.values())
-        return groups
-
-    def clone_arrays(self) -> dict:
-        return {name: t.data.copy() for name, t in self.tensors.items()}
+        counts = {g: self.bounds[g].stop - self.bounds[g].start for g in ("encoder", "heads", "mlm")}
+        return {**counts, "total": self.tensors.data.size}
 
     def load_arrays(self, arrays: dict) -> None:
         for name, arr in arrays.items():
@@ -111,7 +152,7 @@ class ModelParams:
                 raise ValueError(f"unknown parameter {name!r}")
             if self.tensors[name].data.shape != arr.shape:
                 raise ValueError(f"shape mismatch for {name!r}")
-            self.tensors[name].data = arr.copy()
+            self.tensors[name].data[...] = arr
 
 
 def _truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -123,54 +164,24 @@ def _truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.
     return out
 
 
+def _fill(params: ModelParams, group: str, rng: np.random.Generator) -> None:
+    """Write each tensor of ``group`` its initial value, drawing in layout order."""
+    for name, shape, init in params.layout[group]:
+        params.tensors[name].data[...] = _truncated_normal(rng, shape) if init == "normal" else init
+
+
 def init_model(config: EncoderConfig, environment: str, task: str | None = None,
                with_mlm_head: bool = False, seed: int = 0) -> ModelParams:
     """Fresh parameters, truncated-normal weights (std 0.02), seeded."""
-    rng = np.random.default_rng((seed, 0))
-    d, v = config.d_model, config.vocab_size
-    tensors: dict = {}
-
-    def weight(name, *shape):
-        tensors[name] = ad.parameter(_truncated_normal(rng, shape))
-
-    def zeros(name, *shape):
-        tensors[name] = ad.parameter(np.zeros(shape))
-
-    def ones(name, *shape):
-        tensors[name] = ad.parameter(np.ones(shape))
-
-    weight("tok_emb", v, d)
-    weight("pos_emb", config.max_seq_len, d)
-    ones("emb_ln.g", d)
-    zeros("emb_ln.b", d)
-    for layer in range(config.n_layers):
-        p = f"layer{layer}."
-        for proj in ("q", "k", "v", "o"):
-            weight(p + f"attn.W{proj}", d, d)
-            zeros(p + f"attn.b{proj}", d)
-        ones(p + "ln1.g", d)
-        zeros(p + "ln1.b", d)
-        weight(p + "ffn.W1", d, config.d_ff)
-        zeros(p + "ffn.b1", config.d_ff)
-        weight(p + "ffn.W2", config.d_ff, d)
-        zeros(p + "ffn.b2", d)
-        ones(p + "ln2.g", d)
-        zeros(p + "ln2.b", d)
-
-    params = ModelParams(config, environment, task, tensors, with_mlm_head)
-    if with_mlm_head:
-        zeros("mlm.bias", v)  # output weights are tied to tok_emb
+    params = ModelParams(config, environment, task, with_mlm_head)
+    _fill(params, "encoder", np.random.default_rng((seed, 0)))
     reinit_heads(params, seed)
     return params
 
 
 def reinit_heads(params: ModelParams, seed: int) -> None:
-    """(Re)draw classification heads, leaving the encoder untouched."""
-    rng = np.random.default_rng((seed, 1))
-    d = params.config.d_model
-    for task in params.head_tasks:
-        params.tensors[f"head.{task}.W"] = ad.parameter(_truncated_normal(rng, (d, 2)))
-        params.tensors[f"head.{task}.b"] = ad.parameter(np.zeros(2))
+    """(Re)draw classification heads in place, leaving the encoder untouched."""
+    _fill(params, "heads", np.random.default_rng((seed, 1)))
 
 
 def stack_batch(batch: list[EncodedInput]) -> tuple[np.ndarray, np.ndarray]:
@@ -322,8 +333,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
         if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format {meta.get('format_version')!r}")
         arrays = {key[len("param/"):]: bundle[key] for key in bundle.files if key.startswith("param/")}
-    config = EncoderConfig(**meta["config"])
-    params = init_model(config, meta["environment"], meta["task"], meta["has_mlm_head"], seed=0)
+    params = ModelParams(EncoderConfig(**meta["config"]), meta["environment"], meta["task"], meta["has_mlm_head"])
     missing = set(params.tensors) - set(arrays)
     if missing:
         raise ValueError(f"checkpoint is missing parameters: {sorted(missing)}")

@@ -54,8 +54,10 @@ class TrainConfig:
         for name in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1)")
-        if self.warmup_ratio < 0 or self.warmup_steps < 0:
-            raise ValueError("warmup settings must be nonnegative")
+        if not 0.0 <= self.warmup_ratio <= 1.0:
+            raise ValueError(f"warmup_ratio must be in [0, 1], got {self.warmup_ratio}")
+        if self.warmup_steps < 0:
+            raise ValueError("warmup_steps must be nonnegative")
         if self.batch_size < 1 or self.num_epochs < 1 or self.gradient_accumulation_steps < 1:
             raise ValueError("batch_size, num_epochs, gradient_accumulation_steps must be >= 1")
         if self.early_stop_patience_evals < 1 or self.eval_every_batches < 1:
@@ -82,51 +84,42 @@ class RunRecord:
     best_checkpoint_step: int = -1
 
 
+@dataclass
 class AdamState:
-    def __init__(self):
-        self.step = 0
-        self.m: dict = {}
-        self.v: dict = {}
+    """Step count and the first/second moments of one parameter group's slice."""
+    step: int = 0
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
-def clip_by_global_norm(grads: dict, max_norm: float) -> tuple[dict, float]:
-    """Scale all gradients by max_norm/norm when their global norm exceeds it."""
-    norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+def clip_by_global_norm(tensors: md.ParamGroup, max_norm: float) -> float:
+    """Scale the group's grads in place by max_norm/norm when their global norm exceeds
+    it; returns that norm, summed from per-tensor partial sums in the group's order."""
+    norm = math.sqrt(sum(float((t.grad * t.grad).sum()) for t in tensors.values()))
     if norm > max_norm:
-        scale = max_norm / norm
-        grads = {name: g * scale for name, g in grads.items()}
-    return grads, norm
+        tensors.grad *= max_norm / norm
+    return norm
 
 
-def adam_step(tensors: dict, state: AdamState, lr_t: float, cfg: TrainConfig) -> None:
-    """Global-norm clip, bias-corrected Adam update, then grad reset."""
-    grads = {}
-    for name, t in tensors.items():
-        g = t.grad if t.grad is not None else np.zeros_like(t.data)
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient in parameter {name!r}")
-        grads[name] = g
-    grads, _ = clip_by_global_norm(grads, cfg.max_grad_norm)
+def adam_step(tensors: md.ParamGroup, state: AdamState, lr_t: float, cfg: TrainConfig) -> None:
+    """Global-norm clip, bias-corrected Adam update, grad reset: in place on the group's slices."""
+    g = tensors.grad
+    if not np.isfinite(g).all():
+        bad = next(name for name, t in tensors.items() if not np.isfinite(t.grad).all())
+        raise NumericError(f"non-finite gradient in parameter {bad!r}")
+    clip_by_global_norm(tensors, cfg.max_grad_norm)
 
     state.step += 1
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    bias1 = 1.0 - b1**state.step
-    bias2 = 1.0 - b2**state.step
-    for name, t in tensors.items():
-        g = grads[name]
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(t.data)
-            state.m[name] = m
-            state.v[name] = np.zeros_like(t.data)
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        update = (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_epsilon)
-        t.data = t.data - lr_t * update
-        t.grad = None
+    if state.m is None:
+        state.m, state.v = np.zeros_like(g), np.zeros_like(g)
+    b1, b2, m, v = cfg.adam_beta1, cfg.adam_beta2, state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    update = (m / (1.0 - b1**state.step)) / (np.sqrt(v / (1.0 - b2**state.step)) + cfg.adam_epsilon)
+    tensors.data -= lr_t * update
+    g[...] = 0.0
 
 
 def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
@@ -201,7 +194,7 @@ def evaluate_model(params: md.ModelParams, ds: dt.EncodedDataset, batch_size: in
     return total / len(ds), f1s
 
 
-def _optimize(tensors: dict, n: int, cfg: TrainConfig, shuffle_rng: np.random.Generator,
+def _optimize(tensors: md.ParamGroup, n: int, cfg: TrainConfig, shuffle_rng: np.random.Generator,
               batch_loss, after_step=lambda opt_step: False) -> int:
     """Shuffled micro-batches, accumulated gradients, one Adam step per window.
 
@@ -256,19 +249,17 @@ def train_one(params: md.ModelParams, train_ds: dt.EncodedDataset, val_ds: dt.En
     record = RunRecord(seed=seed)
     shuffle_rng = np.random.default_rng((seed, 10))
     dropout_rng = np.random.default_rng((seed, 11))
-    best_loss = math.inf
-    best_arrays = None
-    bad_evals = 0
+    best_loss, best_data, bad_evals = math.inf, None, 0
 
     def run_eval(opt_step: int) -> None:
-        nonlocal best_loss, best_arrays, bad_evals
+        nonlocal best_loss, best_data, bad_evals
         val_loss, f1s = evaluate(params, opt_step)
         if not math.isfinite(val_loss):
             raise NumericError(f"non-finite validation loss at step {opt_step}")
         record.eval_history.append((opt_step, val_loss, f1s))
         if val_loss < best_loss:
             best_loss = val_loss
-            best_arrays = params.clone_arrays()
+            best_data = params.tensors.data.copy()
             record.best_checkpoint_step = opt_step
             bad_evals = 0
         else:
@@ -284,13 +275,11 @@ def train_one(params: md.ModelParams, train_ds: dt.EncodedDataset, val_ds: dt.En
             run_eval(opt_step)
         return record.stopped_early
 
-    classifier_tensors = {n: t for n, t in params.tensors.items() if not n.startswith("mlm.")}
-    opt_step = _optimize(classifier_tensors, len(train_ds), cfg, shuffle_rng, batch_loss, after_step)
+    opt_step = _optimize(params.group("heads", "encoder"), len(train_ds), cfg, shuffle_rng, batch_loss, after_step)
     if not record.stopped_early and (not record.eval_history or record.eval_history[-1][0] != opt_step):
         run_eval(opt_step)
 
-    if best_arrays is not None:
-        params.load_arrays(best_arrays)
+    params.tensors.data[:] = best_data  # the first evaluation always improves on inf
     return params, record
 
 
@@ -307,20 +296,16 @@ def lm_finetune(params: md.ModelParams, corpus: list, vocab: tok.Vocab, cfg: Tra
     if not corpus:
         raise ValueError("empty corpus for the LM stage")
     encoded = [tok.encode(vocab, text, max_len) for text in corpus]
-    lm_tensors = {n: t for n, t in params.tensors.items() if not n.startswith("head.")}
     dropout_rng = np.random.default_rng((seed, 21))
 
     def batch_loss(epoch: int, idx: np.ndarray) -> ad.Tensor:
-        masked, labels = [], []
-        for j in idx:
-            m, lab = tok.mask_for_mlm(vocab, encoded[j], rng_seed=(seed, 22, epoch, int(j)), mask_prob=mask_prob)
-            masked.append(m)
-            labels.append(lab)
-        ids, attn = md.stack_batch(masked)
+        masked, labels = zip(*(tok.mask_for_mlm(vocab, encoded[j], rng_seed=(seed, 22, epoch, int(j)),
+                                                mask_prob=mask_prob) for j in idx))
+        ids, attn = md.stack_batch(list(masked))
         logits = md.mlm_forward(params, ids, attn, train_mode=True, rng=dropout_rng)
         return obj.mlm_loss(logits, np.asarray(labels))
 
-    _optimize(lm_tensors, len(encoded), cfg, np.random.default_rng((seed, 20)), batch_loss)
+    _optimize(params.group("encoder", "mlm"), len(encoded), cfg, np.random.default_rng((seed, 20)), batch_loss)
     return params
 
 
@@ -390,23 +375,21 @@ def run_experiment(cfg: TrainConfig, examples: list, vocab: tok.Vocab,
     val_ds = dt.encode_examples(vocab, val_ex, max_len)
     train_texts = [ex.text for ex in train_ex]
 
-    records: dict = {}
-    models: dict = {}
+    records: dict = {seed: {} for seed in cfg.seeds}
+    models: dict = {seed: {} for seed in cfg.seeds}
     preds_by_task: dict = {t: [] for t in dt.TASKS}
     model_keys = ["mtl"] if cfg.environment == md.MTL else list(dt.TASKS)
     for seed in cfg.seeds:
-        records[seed] = {}
-        models[seed] = {}
-        lm_encoder_arrays = None
+        lm_encoder = None
         if cfg.lm_stage:
             carrier = md.init_model(enc_cfg, md.MTL, with_mlm_head=True, seed=seed)
             lm_finetune(carrier, train_texts, vocab, cfg, seed, max_len)
-            lm_encoder_arrays = {n: carrier.tensors[n].data for n in carrier.encoder_tensor_names()}
+            lm_encoder = carrier.group("encoder").data
 
         for key in model_keys:
             params = md.init_model(enc_cfg, cfg.environment, task=None if key == "mtl" else key, seed=seed)
-            if lm_encoder_arrays is not None:
-                params.load_arrays(lm_encoder_arrays)
+            if lm_encoder is not None:
+                params.group("encoder").data[:] = lm_encoder
             params, records[seed][key] = train_one(params, train_ds, val_ds, cfg, seed)
             models[seed][key] = params
             for t, labels in predict_dataset(params, val_ds, cfg.batch_size).items():

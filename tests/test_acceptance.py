@@ -350,7 +350,7 @@ def test_criterion_9_early_stopping_contract():
 
         def adversarial(p, step):
             if not snapshots:
-                snapshots.append(p.clone_arrays())
+                snapshots.append(p.tensors.data.copy())
             return 0.5, {}
 
         params, record = tr.train_one(params, train_ds, val_ds, cfg, seed=1,
@@ -359,6 +359,4 @@ def test_criterion_9_early_stopping_contract():
         assert record.stopped_early
         first_step = record.eval_history[0][0]
         assert record.best_checkpoint_step == first_step
-        first_snapshot = snapshots[0]
-        for name, arr in params.clone_arrays().items():
-            assert np.array_equal(arr, first_snapshot[name]), name
+        assert np.array_equal(params.tensors.data, snapshots[0])

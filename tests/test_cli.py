@@ -400,6 +400,7 @@ def test_predict_nonpositive_batch_size_exits_1(workspace, trained_run, tmp_path
     "train --set d_ff=-1",
     "train --set n_layers=-1",
     "train --set warmup_ratio=nan",
+    "train --set warmup_ratio=2",
     "train --set learning_rate=nan",
     "train --lr inf",
     "train --set max_grad_norm=nan",
@@ -423,6 +424,37 @@ def test_out_of_range_setting_exits_1(workspace, tmp_path, capsys, argv):
                    "--vocab", str(vocab_path), "--out", str(out)])
     _one_line_error(capsys, rc, 1, "config error")
     assert not out_dir.exists()
+
+
+def test_evaluate_without_a_shared_task_exits_2(trained_run, tmp_path, capsys):
+    ids, gold = dt.load_predictions(trained_run / "val-gold.csv")
+    gold_path, pred_path, out = tmp_path / "gold.csv", tmp_path / "pred.csv", tmp_path / "eval.csv"
+    dt.write_predictions(gold_path, ids, {"toxic": gold["toxic"]})
+    dt.write_predictions(pred_path, ids, {"engaging": gold["engaging"]})
+    rc = cli.main(["evaluate", "--gold", str(gold_path), "--pred", str(pred_path), "--out", str(out)])
+    _one_line_error(capsys, rc, 2, "no task column in common")
+    assert not out.exists()
+
+
+def _drop_engaging(path):
+    ids, preds = dt.load_predictions(path)
+    dt.write_predictions(path, ids, {t: v for t, v in preds.items() if t != "engaging"})
+
+
+@pytest.mark.parametrize("damage", {
+    "empty-manifest": lambda run: (run / "manifest.json").write_text("{}", encoding="utf-8"),
+    "manifest-not-json": lambda run: (run / "manifest.json").write_text("{not json", encoding="utf-8"),
+    "environment-not-a-string": lambda run: (run / "manifest.json").write_text('{"environment": 5}', encoding="utf-8"),
+    "gold-lacks-task": lambda run: _drop_engaging(run / "val-gold.csv"),
+    "preds-lack-task": lambda run: _drop_engaging(run / "preds-ensemble.csv"),
+}.items(), ids=lambda item: item[0])
+def test_report_on_a_damaged_run_exits_2(trained_run, tmp_path, capsys, damage):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    damage[1](run)
+    rc = cli.main(["report", "--runs", str(run), "--out", str(tmp_path / "grid")])
+    _one_line_error(capsys, rc, 2, str(run))
+    assert not (tmp_path / "grid.txt").exists()
 
 
 def test_build_vocab_on_blank_texts_exits_2(tmp_path, capsys):

@@ -210,7 +210,7 @@ def test_mlm_head_is_tied_and_counted():
     labels[1] = 9
     loss = obj.mlm_loss(md.mlm_forward(params, ids, mask), labels)
     loss.backward()
-    assert params.tensors["tok_emb"].grad is not None  # tied weights receive MLM gradient
+    assert np.abs(params.tensors["tok_emb"].grad).sum() > 0  # tied weights receive MLM gradient
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -243,6 +243,78 @@ def test_checkpoint_rejects_other_versions(tmp_path):
     buf = {"__meta__": np.asarray(json.dumps(meta)), **arrays}
     np.savez(path, **buf)
     with pytest.raises(ValueError, match="format"):
+        md.load_checkpoint(path)
+
+
+def assert_in_arena(params):
+    """Every tensor's data and grad are views of the model's one data and grad buffer."""
+    arena = params.tensors
+    for name, t in arena.items():
+        assert np.shares_memory(t.data, arena.data) and np.shares_memory(t.grad, arena.grad), name
+    assert sum(t.data.size for t in arena.values()) == arena.data.size == arena.grad.size
+
+
+def test_every_tensor_stays_a_view_of_the_arena(tmp_path):
+    params = md.init_model(TINY, md.MTL, with_mlm_head=True, seed=1)
+    assert_in_arena(params)
+    params.load_arrays({"tok_emb": np.ones((TINY.vocab_size, TINY.d_model))})
+    assert_in_arena(params)
+    assert (params.tensors["tok_emb"].data == 1.0).all()
+    md.reinit_heads(params, 2)
+    assert_in_arena(params)
+    fresh = md.init_model(TINY, md.MTL, seed=2)
+    for task in TASKS:  # the same draws as a fresh model's heads
+        assert np.array_equal(params.head(task).W.data, fresh.head(task).W.data)
+    path = tmp_path / "model.npz"
+    md.save_checkpoint(params, path)
+    loaded, _ = md.load_checkpoint(path)
+    assert_in_arena(loaded)
+    assert np.array_equal(loaded.tensors.data, params.tensors.data)
+
+
+def test_optimizer_groups_are_single_slices():
+    params = md.init_model(TINY, md.MTL, with_mlm_head=True, seed=1)
+    for groups, excluded in ((("heads", "encoder"), "mlm."), (("encoder", "mlm"), "head.")):
+        group = params.group(*groups)
+        assert list(group) == [n for n in params.tensors if not n.startswith(excluded)]  # checkpoint order
+        assert group.data.base is params.tensors.data and group.grad.base is params.tensors.grad
+        assert group.data.size == sum(t.data.size for t in group.values())
+        params.tensors.data[:] = 0.0
+        group.data[:] = 1.0
+        for name, t in params.tensors.items():
+            assert (t.data == 1.0).all() == (name in group), name
+    assert list(params.group("encoder")) == params.encoder_tensor_names()
+    whole = params.group("heads", "mlm")  # first through last: the whole arena
+    assert list(whole) == list(params.tensors) and whole.data.size == params.tensors.data.size
+
+
+def test_load_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
+    params = md.init_model(TINY, md.STL, task="toxic", seed=3)
+    path = tmp_path / "model.npz"
+    md.save_checkpoint(params, path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint initialised a model")
+
+    monkeypatch.setattr(md, "_truncated_normal", refuse)
+    monkeypatch.setattr(md, "init_model", refuse)
+    loaded, _ = md.load_checkpoint(path)
+    assert np.array_equal(loaded.tensors.data, params.tensors.data)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda arrays: arrays.pop("param/head.toxic.b"), "missing"),
+    (lambda arrays: arrays.update({"param/head.engaging.b": np.zeros(2)}), "unknown"),
+    (lambda arrays: arrays.update({"param/pos_emb": np.zeros((3, TINY.d_model))}), "shape"),
+], ids=["missing", "unknown", "mis-shaped"])
+def test_load_checkpoint_rejects_foreign_parameters(tmp_path, edit, message):
+    path = tmp_path / "model.npz"
+    md.save_checkpoint(md.init_model(TINY, md.STL, task="toxic", seed=0), path)
+    with np.load(path) as bundle:
+        arrays = {k: bundle[k] for k in bundle.files}
+    edit(arrays)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=message):
         md.load_checkpoint(path)
 
 

@@ -175,6 +175,17 @@ def test_backward_accumulates_without_reset():
     assert np.array_equal(x.grad, np.full(2, 2.0))
 
 
+def test_backward_writes_leaf_grads_in_place_and_no_node_grads():
+    x = ad.parameter(np.array([1.0, 2.0]))
+    buffer = x.grad = np.zeros(2)
+    y = ad.mul(x, x)
+    ad.tsum(y).backward()
+    assert x.grad is buffer and np.array_equal(buffer, [2.0, 4.0])
+    assert y.grad is None  # graph nodes keep no gradient
+    x.zero_grad()
+    assert x.grad is buffer and not buffer.any()
+
+
 def test_backward_rejects_non_scalar():
     x = ad.parameter(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="scalar"):

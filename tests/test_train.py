@@ -61,39 +61,55 @@ def test_environment_labels():
     assert tr.TrainConfig(environment="mtl", lm_stage=True).environment_label == "LM+MTL"
 
 
+def arena(**values) -> md.ParamGroup:
+    """Parameters named and valued by ``values``, as views of one data and one grad buffer."""
+    data = np.concatenate([np.ravel(v) for v in values.values()]).astype(np.float64)
+    grad = np.zeros_like(data)
+    tensors, offset = {}, 0
+    for name, value in values.items():
+        view = slice(offset, offset + np.size(value))
+        tensors[name] = ad.parameter(data[view].reshape(np.shape(value)))
+        tensors[name].grad = grad[view].reshape(np.shape(value))
+        offset = view.stop
+    return md.ParamGroup(tensors, data, grad)
+
+
 def test_clip_by_global_norm():
-    grads = {"a": np.array([6.0, 8.0])}  # norm 10
-    clipped, norm = tr.clip_by_global_norm(grads, 1.0)
+    group = arena(a=[0.0, 0.0])
+    group["a"].grad[:] = [6.0, 8.0]  # norm 10
+    norm = tr.clip_by_global_norm(group, 1.0)
     assert norm == pytest.approx(10.0)
-    assert clipped["a"] == pytest.approx(np.array([0.6, 0.8]))
-    small = {"a": np.array([0.3])}
-    same, _ = tr.clip_by_global_norm(small, 1.0)
-    assert same["a"] is small["a"]  # untouched below the threshold
+    assert group["a"].grad == pytest.approx(np.array([0.6, 0.8]))
+    small = arena(a=[0.0])
+    small["a"].grad[:] = 0.3
+    tr.clip_by_global_norm(small, 1.0)
+    assert small["a"].grad[0] == 0.3  # untouched below the threshold
 
 
 def test_adam_zero_gradients_leave_params():
-    w = ad.parameter(np.array([1.0, -2.0]))
-    w.grad = np.zeros(2)
-    tr.adam_step({"w": w}, tr.AdamState(), 0.1, tr.TrainConfig())
-    assert np.array_equal(w.data, [1.0, -2.0])
-    assert w.grad is None  # reset after the step
+    group = arena(w=[1.0, -2.0])
+    tr.adam_step(group, tr.AdamState(), 0.1, tr.TrainConfig())
+    assert np.array_equal(group["w"].data, [1.0, -2.0])
+    assert not group["w"].grad.any()  # reset after the step
 
 
 def test_adam_quadratic_convergence():
     cfg = tr.TrainConfig()
-    w = ad.parameter(np.array([1.0]))
+    group = arena(w=[1.0])
+    w = group["w"]
     state = tr.AdamState()
     for _ in range(500):
-        w.grad = 2.0 * w.data
-        tr.adam_step({"w": w}, state, 0.1, cfg)
+        w.grad[...] = 2.0 * w.data
+        tr.adam_step(group, state, 0.1, cfg)
+        assert not w.grad.any()  # reset after every step
     assert abs(float(w.data[0])) < 1e-2
 
 
 def test_adam_rejects_non_finite_gradient():
-    w = ad.parameter(np.array([1.0]))
-    w.grad = np.array([np.nan])
+    group = arena(v=[1.0], w=[1.0])
+    group["w"].grad[0] = np.nan
     with pytest.raises(tr.NumericError, match="'w'"):
-        tr.adam_step({"w": w}, tr.AdamState(), 0.1, tr.TrainConfig())
+        tr.adam_step(group, tr.AdamState(), 0.1, tr.TrainConfig())
 
 
 def test_lr_schedule_endpoints_and_peak():
@@ -185,6 +201,27 @@ def test_returned_checkpoint_is_best_seen():
     assert best_recorded == next(l for s, l, _ in record.eval_history if s == best_step)
 
 
+def test_best_checkpoint_restore_keeps_the_arena():
+    examples, vocab, enc = make_setup(40)
+    train_ds, val_ds = encode_split(examples, vocab)
+    cfg = tr.TrainConfig(learning_rate=2e-3, num_epochs=1, batch_size=8, eval_every_batches=1,
+                         environment="mtl", seeds=(1,))
+    snapshots = []
+
+    def first_is_best(p, step):
+        snapshots.append(p.tensors.data.copy())
+        return (0.0 if len(snapshots) == 1 else 1.0), {}
+
+    params, record = tr.train_one(md.init_model(enc, md.MTL, seed=1), train_ds, val_ds, cfg, seed=1,
+                                  val_metrics_fn=first_is_best)
+    assert record.best_checkpoint_step == 1 and len(record.eval_history) > 1
+    assert np.array_equal(params.tensors.data, snapshots[0])
+    for name, t in params.tensors.items():
+        assert np.shares_memory(t.data, params.tensors.data), name
+        assert np.shares_memory(t.grad, params.tensors.grad), name
+    assert not params.tensors.grad.any()
+
+
 def test_gradient_accumulation_matches_concatenated_batch():
     examples, vocab, _ = make_setup(20)  # splits into 16 train: micro-batches stay equal-sized
     enc = md.EncoderConfig(vocab_size=300, d_model=16, n_layers=1, n_heads=2,
@@ -198,9 +235,8 @@ def test_gradient_accumulation_matches_concatenated_batch():
                              eval_every_batches=1000, environment="stl", seeds=(1,))
         params = md.init_model(enc, md.STL, task="toxic", seed=3)
         params, _ = tr.train_one(params, train_ds, val_ds, cfg, seed=3)
-        results.append(params.clone_arrays())
-    for name in results[0]:
-        assert np.abs(results[0][name] - results[1][name]).max() <= 1e-9, name
+        results.append(params.tensors.data.copy())
+    assert np.abs(results[0] - results[1]).max() <= 1e-9
 
 
 def test_train_requires_disjoint_sets():
