@@ -209,11 +209,13 @@ def cmd_train(args) -> int:
         raise DataError(f"{args.data}: {len(examples)} examples leave the train or validation side"
                         f" of the {split_ratio} split empty")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise DataError(f"--out {out_dir} exists and is not a directory")
     vocab_hash = file_hash(args.vocab)
 
     result = tr.run_experiment(train_cfg, examples, vocab, enc_cfg, max_len=resolved["max_len"],
                                split_ratio=split_ratio)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     checkpoints = {}
     for seed in result.seeds:
@@ -373,7 +375,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    grid = {}
+    grid, source = {}, {}
     for run_dir in args.runs:
         run = Path(run_dir)
         manifest_path = run / "manifest.json"
@@ -386,6 +388,9 @@ def cmd_report(args) -> int:
             raise DataError(f"{run}: unreadable manifest.json: {exc!r}") from exc
         if not all(isinstance(part, str) for part in key):
             raise DataError(f"{run}: manifest.json model_name and environment must be strings, got {key!r}")
+        if key in source:
+            raise DataError(f"{source[key]} and {run} are both model {key[0]!r} in environment {key[1]!r}")
+        source[key] = run
         gold_ids, gold = dt.load_predictions(run / "val-gold.csv")
         pred_ids, preds = dt.load_predictions(run / "preds-ensemble.csv")
         missing = [t for t in dt.TASKS if t not in gold or t not in preds]
@@ -497,7 +502,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

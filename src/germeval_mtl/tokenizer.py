@@ -119,50 +119,29 @@ def build_vocab(corpus: list[str], max_size: int = 8000, min_freq: int = 1) -> V
     tokens = list(SPECIAL_TOKENS) + alphabet[: max_size - 5]
     vocab_set = set(tokens)
 
-    splits = {
-        word: [c if i == 0 else "##" + c for i, c in enumerate(word)]
-        for word, freq in word_freqs.items()
-        if freq >= min_freq
-    }
-    unit_freqs = Counter()
-    for word, parts in splits.items():
-        for part in parts:
-            unit_freqs[part] += word_freqs[word]
-
+    splits = [(freq, [c if i == 0 else "##" + c for i, c in enumerate(word)])
+              for word, freq in word_freqs.items() if freq >= min_freq]
     while len(tokens) < max_size:
-        pair_freqs = Counter()
-        for word, parts in splits.items():
-            freq = word_freqs[word]
-            for left, right in zip(parts, parts[1:]):
-                pair_freqs[(left, right)] += freq
-        if not pair_freqs:
+        units, pairs = {}, {}  # plain dicts: Counter's __missing__ costs a Python call per new key
+        for freq, parts in splits:
+            for part in parts:
+                units[part] = units.get(part, 0) + freq
+            for pair in zip(parts, parts[1:]):
+                pairs[pair] = pairs.get(pair, 0) + freq
+        if not pairs:
             break
-
-        def score(pair):
-            return pair_freqs[pair] / (unit_freqs[pair[0]] * unit_freqs[pair[1]])
-
-        best_score = max(score(p) for p in pair_freqs)
-        left, right = min(p for p in pair_freqs if score(p) == best_score)
+        left, right = min(pairs, key=lambda p: (-pairs[p] / (units[p[0]] * units[p[1]]), p))
         merged = left + right[2:] if right.startswith("##") else left + right
         # Distinct pairs can collapse to the same string; only add it once.
         if merged not in vocab_set:
             tokens.append(merged)
             vocab_set.add(merged)
-        for word, parts in splits.items():
-            out = []
+        for _, parts in splits:
             i = 0
-            while i < len(parts):
-                if i + 1 < len(parts) and parts[i] == left and parts[i + 1] == right:
-                    out.append(merged)
-                    i += 2
-                else:
-                    out.append(parts[i])
-                    i += 1
-            splits[word] = out
-        unit_freqs = Counter()
-        for word, parts in splits.items():
-            for part in parts:
-                unit_freqs[part] += word_freqs[word]
+            while i < len(parts) - 1:
+                if parts[i] == left and parts[i + 1] == right:
+                    parts[i:i + 2] = [merged]
+                i += 1
 
     return Vocab(tokens)
 
@@ -181,12 +160,7 @@ def encode(vocab: Vocab, text: str, max_len: int = 120) -> EncodedInput:
 
 def decode(vocab: Vocab, ids: list[int]) -> list[str]:
     """Recover the subword pieces, dropping structural specials."""
-    keep = {UNK_ID}
-    return [
-        vocab.id_to_token[i]
-        for i in ids
-        if i in keep or i >= len(SPECIAL_TOKENS)
-    ]
+    return [vocab.id_to_token[i] for i in ids if i == UNK_ID or i >= len(SPECIAL_TOKENS)]
 
 
 def mask_for_mlm(

@@ -489,3 +489,56 @@ def test_readme_config_block_lists_every_settable_key():
     assert sorted(key for key, _ in pairs) == sorted(cli._DEFAULTS)
     for key, raw in pairs:
         assert cli._coerce(key, raw) == cli._DEFAULTS[key], key
+
+
+def test_report_on_two_runs_of_one_cell_exits_2(workspace, trained_run, tmp_path, capsys):
+    root, data_path, config_path, vocab_path = workspace
+    other = tmp_path / "run-mtl-lr"
+    rc = cli.main([
+        "train", "--config", str(config_path), "--lr", "1e-3", "--seeds", "1",
+        "--data", str(data_path), "--vocab", str(vocab_path), "--out", str(other),
+    ])
+    assert rc == 0
+    capsys.readouterr()
+    rc = cli.main(["report", "--runs", str(trained_run), str(other), "--out", str(tmp_path / "grid")])
+    _one_line_error(capsys, rc, 2, f"{trained_run} and {other}")
+    assert not (tmp_path / "grid.txt").exists()
+
+
+def _unusable_path_argv(case, workspace, trained_run, tmp_path):
+    _, data_path, config_path, vocab_path = workspace
+    a_file, a_dir = tmp_path / "a-file", tmp_path / "a-dir"
+    a_file.write_text("not a directory\n", encoding="utf-8")
+    a_dir.mkdir()
+    train = ["train", "--config", str(config_path), "--vocab", str(vocab_path)]
+    gold, preds = trained_run / "val-gold.csv", trained_run / "preds-ensemble.csv"
+    return {
+        "train-out-file": train + ["--data", str(data_path), "--out", str(a_file)],
+        "train-data-dir": train + ["--data", str(a_dir), "--out", str(tmp_path / "run")],
+        "build-vocab-out-dir": ["build-vocab", "--data", str(data_path), "--out", str(a_dir), "--max-size", "60"],
+        "build-vocab-data-dir": ["build-vocab", "--data", str(a_dir), "--out", str(tmp_path / "v.txt")],
+        "predict-out-dir": ["predict", "--checkpoint", str(trained_run / "ckpt-seed1.npz"), "--vocab", str(vocab_path),
+                            "--data", str(data_path), "--out", str(a_dir)],
+        "evaluate-out-dir": ["evaluate", "--gold", str(gold), "--pred", str(preds), "--out", str(a_dir)],
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["train-out-file", "train-data-dir", "build-vocab-out-dir",
+                                  "build-vocab-data-dir", "predict-out-dir", "evaluate-out-dir"])
+def test_unusable_path_exits_2(workspace, trained_run, tmp_path, capsys, case):
+    rc = cli.main(_unusable_path_argv(case, workspace, trained_run, tmp_path))
+    _one_line_error(capsys, rc, 2, "data error: ")  # one line: no traceback reached stderr
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_numeric_failure_leaves_no_out_directory(workspace, tmp_path, capsys):
+    _, data_path, config_path, vocab_path = workspace
+    out = tmp_path / "run"
+    rc = cli.main([
+        "train", "--config", str(config_path), "--seeds", "1",
+        "--set", "learning_rate=1e300", "--set", "max_grad_norm=1e300",
+        "--data", str(data_path), "--vocab", str(vocab_path), "--out", str(out),
+    ])
+    _one_line_error(capsys, rc, 3, "numeric failure")
+    assert not out.exists()
