@@ -293,8 +293,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU with the tanh approximation."""
-    u = _GELU_C * (x.data + _GELU_A * x.data**3)
+    """GELU with the tanh approximation.
+
+    The cube is two products: NumPy sends ``x**3`` through its general
+    ``pow`` loop, which costs tens of times as much and agrees within 1 ulp.
+    """
+    u = _GELU_C * (x.data + _GELU_A * (x.data * x.data * x.data))
     t = np.tanh(u)
     out = 0.5 * x.data * (1.0 + t)
 
@@ -325,13 +329,22 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _make("embedding_lookup", out, (table,), backward_fn)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when p == 0."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator, draw_shape: Sequence[int] | None = None) -> Tensor:
+    """Inverted dropout; identity when p == 0.
+
+    With ``draw_shape`` (same rank as ``x``, no axis smaller) the mask is
+    drawn at that shape and its leading block is kept, so ``rng`` advances
+    exactly as it would for a tensor of ``draw_shape``.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    draw_shape = x.shape if draw_shape is None else tuple(draw_shape)
+    if len(draw_shape) != x.ndim or any(d < n for d, n in zip(draw_shape, x.shape)):
+        raise ValueError(f"dropout draw shape {draw_shape} does not cover the tensor shape {x.shape}")
     if p == 0.0:
         return x
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
+    block = tuple(slice(0, n) for n in x.shape)
+    mask = (rng.random(draw_shape)[block] >= p) / (1.0 - p)
     return _make("dropout", x.data * mask, (x,), lambda g: [g * mask])
 
 

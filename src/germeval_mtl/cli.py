@@ -124,17 +124,28 @@ def _sidecar(path: Path, cfg_hash: str) -> None:
     _write_json(Path(str(path) + ".meta.json"), {"config_hash": cfg_hash})
 
 
+def _output_path(path: str, directory: bool = False) -> Path:
+    """``--out`` as a Path, refused before any work if it cannot be written as a file (or ``directory``)."""
+    out = Path(path)
+    if out.exists() and out.is_dir() != directory:
+        raise DataError(f"--out {out} {'is not' if directory else 'is'} a directory")
+    ancestor = next(parent for parent in out.parents if parent.exists())
+    if not ancestor.is_dir():
+        raise DataError(f"--out {out}: {ancestor} is not a directory")
+    return out
+
+
 # -- commands -------------------------------------------------------------------
 
 
 def cmd_build_vocab(args) -> int:
+    out = _output_path(args.out)
     if args.max_size <= len(tok.SPECIAL_TOKENS):
         raise ConfigError(f"--max-size must exceed the {len(tok.SPECIAL_TOKENS)} special tokens, got {args.max_size}")
     corpus = [ex.text for ex in dt.load_dataset(args.data)]
     if not any(tok.pre_tokenize(text) for text in corpus):
         raise DataError(f"{args.data}: no words to build a vocabulary from")
     vocab = tok.build_vocab(corpus, max_size=args.max_size, min_freq=args.min_freq)
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     vocab.save(out)
     pieces = 0
@@ -177,6 +188,7 @@ def _prepare(args):
 
 
 def cmd_pretrain_lm(args) -> int:
+    out = _output_path(args.out)
     train_cfg, enc_cfg, vocab, resolved, cfg_hash = _prepare(args)
     examples = dt.load_dataset(args.data)
     corpus = [ex.text for ex in examples]
@@ -187,7 +199,6 @@ def cmd_pretrain_lm(args) -> int:
         raise ConfigError(f"--seed must be non-negative, got {seed}")
     params = md.init_model(enc_cfg, md.MTL, with_mlm_head=True, seed=seed)
     tr.lm_finetune(params, corpus, vocab, train_cfg, seed, resolved["max_len"])
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     md.save_checkpoint(params, out, extra_meta={
         "stage": "lm",
@@ -202,15 +213,13 @@ def cmd_pretrain_lm(args) -> int:
 
 
 def cmd_train(args) -> int:
+    out_dir = _output_path(args.out, directory=True)
     train_cfg, enc_cfg, vocab, resolved, cfg_hash = _prepare(args)
     examples = dt.load_dataset(args.data)
     split_ratio = 0.8
     if not all(dt.split(examples, split_ratio, train_cfg.split_seed)):
         raise DataError(f"{args.data}: {len(examples)} examples leave the train or validation side"
                         f" of the {split_ratio} split empty")
-    out_dir = Path(args.out)
-    if out_dir.exists() and not out_dir.is_dir():
-        raise DataError(f"--out {out_dir} exists and is not a directory")
     vocab_hash = file_hash(args.vocab)
 
     result = tr.run_experiment(train_cfg, examples, vocab, enc_cfg, max_len=resolved["max_len"],
@@ -275,6 +284,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    out = _output_path(args.out)
     if args.batch_size < 1:
         raise ConfigError(f"--batch-size must be at least 1, got {args.batch_size}")
     vocab = _load_vocab(args.vocab)
@@ -314,7 +324,6 @@ def cmd_predict(args) -> int:
     preds: dict = {}
     for params, _ in models:
         preds.update(tr.predict_dataset(params, ds, args.batch_size))
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     dt.write_predictions(out, ids, preds)
     hashes = sorted({meta.get("config_hash", "unknown") for _, meta in models})
@@ -335,6 +344,7 @@ def _align_predictions(gold_ids, pred_ids, preds):
 
 
 def cmd_evaluate(args) -> int:
+    out = _output_path(args.out) if args.out else None
     # gold may be labels-only (comment_id + label columns) or a full dataset file
     gold_ids, gold_labels = dt.load_predictions(args.gold)
     systems = {}
@@ -363,8 +373,7 @@ def cmd_evaluate(args) -> int:
             rows.append([name, task, metric.averaging,
                          f"{metric.precision:.6f}", f"{metric.recall:.6f}", f"{metric.f1:.6f}"])
             print(f"{name:24s} {task:14s} P={metric.precision:.4f} R={metric.recall:.4f} F1={metric.f1:.4f}")
-    if args.out:
-        out = Path(args.out)
+    if out:
         out.parent.mkdir(parents=True, exist_ok=True)
         with out.open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

@@ -203,13 +203,18 @@ def _as_generator(rng) -> np.random.Generator:
 
 
 def encoder_forward(params: ModelParams, ids: np.ndarray, attention_mask: np.ndarray,
-                    train_mode: bool = False, rng=None) -> ad.Tensor:
+                    train_mode: bool = False, rng=None, cls_only: bool = False) -> ad.Tensor:
     """Run the encoder stack; returns hidden states of shape (B, L, d).
 
     Self-attention is padding-masked: keys at PAD positions receive a large
     negative score before the softmax. Dropout fires only in ``train_mode``
     and draws from ``rng`` (an int seed or a Generator), so evaluation is
     deterministic and training reproducible.
+
+    With ``cls_only`` the result is the CLS state alone, shape (B, 1, d):
+    the last layer attends from position 0 only (its keys and values still
+    come from every position), and its dropout masks are drawn at the full
+    shape, so ``rng`` advances exactly as in the full stack.
     """
     cfg = params.config
     ids = np.asarray(ids, dtype=np.int64)
@@ -228,39 +233,41 @@ def encoder_forward(params: ModelParams, ids: np.ndarray, attention_mask: np.nda
             raise ValueError("train_mode forward needs an rng seed for dropout")
         rng = _as_generator(rng)
 
-    def drop(x: ad.Tensor) -> ad.Tensor:
-        return ad.dropout(x, cfg.dropout, rng) if use_dropout else x
+    def drop(x: ad.Tensor, draw_shape=None) -> ad.Tensor:
+        return ad.dropout(x, cfg.dropout, rng, draw_shape) if use_dropout else x
 
     t = params.tensors
     head_dim = cfg.d_model // cfg.n_heads
     scale = 1.0 / math.sqrt(head_dim)
+    full = (batch, seq, cfg.d_model)
     # (B, 1, 1, L) additive bias: 0 on real tokens, very negative on PAD keys
     key_bias = ad.Tensor(((1.0 - attention_mask) * ATTENTION_MASK_BIAS)[:, None, None, :])
 
-    x = ad.reshape(ad.embedding_lookup(t["tok_emb"], ids.ravel()), (batch, seq, cfg.d_model))
+    x = ad.reshape(ad.embedding_lookup(t["tok_emb"], ids.ravel()), full)
     x = ad.add(x, t["pos_emb"][:seq])
     x = ad.layer_norm(x, t["emb_ln.g"], t["emb_ln.b"])
     x = drop(x)
 
     def split_heads(y: ad.Tensor) -> ad.Tensor:
-        y = ad.reshape(y, (batch, seq, cfg.n_heads, head_dim))
+        y = ad.reshape(y, (batch, y.shape[1], cfg.n_heads, head_dim))
         return ad.transpose(y, (0, 2, 1, 3))
 
     for layer in range(cfg.n_layers):
         p = f"layer{layer}."
-        q = split_heads(ad.add(ad.matmul(x, t[p + "attn.Wq"]), t[p + "attn.bq"]))
+        rows = x[:, :1] if cls_only and layer == cfg.n_layers - 1 else x  # the positions this layer outputs
+        q = split_heads(ad.add(ad.matmul(rows, t[p + "attn.Wq"]), t[p + "attn.bq"]))
         k = split_heads(ad.add(ad.matmul(x, t[p + "attn.Wk"]), t[p + "attn.bk"]))
         v = split_heads(ad.add(ad.matmul(x, t[p + "attn.Wv"]), t[p + "attn.bv"]))
         scores = ad.add(ad.mul(ad.matmul(q, ad.transpose(k)), ad.Tensor(scale)), key_bias)
-        attn = drop(ad.softmax_rows(scores))
+        attn = drop(ad.softmax_rows(scores), (batch, cfg.n_heads, seq, seq))
         ctx = ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3))
-        ctx = ad.reshape(ctx, (batch, seq, cfg.d_model))
-        out = drop(ad.add(ad.matmul(ctx, t[p + "attn.Wo"]), t[p + "attn.bo"]))
-        x = ad.layer_norm(ad.add(x, out), t[p + "ln1.g"], t[p + "ln1.b"])
+        ctx = ad.reshape(ctx, rows.shape)
+        out = drop(ad.add(ad.matmul(ctx, t[p + "attn.Wo"]), t[p + "attn.bo"]), full)
+        x = ad.layer_norm(ad.add(rows, out), t[p + "ln1.g"], t[p + "ln1.b"])
         h = ad.gelu(ad.add(ad.matmul(x, t[p + "ffn.W1"]), t[p + "ffn.b1"]))
-        h = drop(ad.add(ad.matmul(h, t[p + "ffn.W2"]), t[p + "ffn.b2"]))
+        h = drop(ad.add(ad.matmul(h, t[p + "ffn.W2"]), t[p + "ffn.b2"]), full)
         x = ad.layer_norm(ad.add(x, h), t[p + "ln2.g"], t[p + "ln2.b"])
-    return x
+    return x[:, :1] if cls_only and cfg.n_layers == 0 else x
 
 
 def head_logits(head: ClassificationHead, h_cls: ad.Tensor) -> ad.Tensor:
@@ -273,7 +280,7 @@ def classify(head: ClassificationHead, h_cls: ad.Tensor) -> ad.Tensor:
 
 
 def _cls_state(params, ids, attention_mask, train_mode, rng) -> ad.Tensor:
-    hidden = encoder_forward(params, ids, attention_mask, train_mode, rng)
+    hidden = encoder_forward(params, ids, attention_mask, train_mode, rng, cls_only=True)
     return hidden[:, 0, :]
 
 

@@ -9,6 +9,8 @@ import pytest
 
 from germeval_mtl import cli
 from germeval_mtl import data as dt
+from germeval_mtl import tokenizer as tok
+from germeval_mtl import train as tr
 
 TINY_CONFIG = """
 # desk-scale smoke settings
@@ -529,6 +531,34 @@ def test_unusable_path_exits_2(workspace, trained_run, tmp_path, capsys, case):
     rc = cli.main(_unusable_path_argv(case, workspace, trained_run, tmp_path))
     _one_line_error(capsys, rc, 2, "data error: ")  # one line: no traceback reached stderr
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["build-vocab", "pretrain-lm", "predict", "evaluate", "train"])
+def test_unusable_out_is_refused_before_any_work(workspace, trained_run, tmp_path, capsys, monkeypatch, command):
+    _, data_path, config_path, vocab_path = workspace
+    for module, name in ((tok, "build_vocab"), (tr, "lm_finetune"), (tr, "run_experiment"), (tr, "predict_dataset")):
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} ran before --out was checked")
+
+        monkeypatch.setattr(module, name, refuse)
+    a_dir, a_file = tmp_path / "a-dir", tmp_path / "a-file"
+    a_dir.mkdir()
+    a_file.write_text("not a directory\n", encoding="utf-8")
+    config = ["--config", str(config_path), "--vocab", str(vocab_path), "--data", str(data_path)]
+    argv = {
+        "build-vocab": ["build-vocab", "--data", str(data_path), "--out", str(a_dir)],
+        "pretrain-lm": ["pretrain-lm", *config, "--out", str(a_dir)],
+        "predict": ["predict", "--checkpoint", str(trained_run / "ckpt-seed1.npz"), "--vocab", str(vocab_path),
+                    "--data", str(data_path), "--out", str(a_dir)],
+        "evaluate": ["evaluate", "--gold", str(trained_run / "val-gold.csv"),
+                     "--pred", str(trained_run / "preds-ensemble.csv"), "--out", str(a_dir)],
+        "train": ["train", *config, "--out", str(a_file / "run")],
+    }[command]
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2, captured.err
+    assert captured.err.startswith("data error: ") and len(captured.err.strip().splitlines()) == 1, captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")

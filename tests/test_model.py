@@ -156,6 +156,52 @@ def test_mtl_forward_runs_encoder_once():
         assert np.array_equal(logits.data, md.head_logits(params.head(task), h_cls).data)
 
 
+def _classifier_pass(params, ids, mask, labels, rng, cls_only):
+    """Head logits, per-tensor grads of the training loss, and the generator state after the pass."""
+    train_mode = params.config.dropout > 0.0
+    if cls_only:  # the classifier forwards' own path
+        forward = md.stl_forward if params.environment == md.STL else md.mtl_forward
+        logits = forward(params, ids, mask, train_mode, rng)
+    else:
+        h_cls = md.encoder_forward(params, ids, mask, train_mode, rng)[:, 0, :]
+        logits = {task: md.head_logits(params.head(task), h_cls) for task in params.head_tasks}
+        logits = logits[params.task] if params.environment == md.STL else logits
+    if params.environment == md.STL:
+        loss, logits = obj.task_loss(logits, labels[params.task]), {params.task: logits}
+    else:
+        loss = obj.loss_bundle(logits, labels).l_multi
+    params.tensors.grad[:] = 0.0
+    loss.backward()
+    grads = {name: t.grad.copy() for name, t in params.tensors.items()}
+    return {task: z.data for task, z in logits.items()}, grads, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n_layers", [0, 1, 3])
+@pytest.mark.parametrize("d_model, seq", [(64, 24), (128, 120)])
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+def test_cls_only_last_layer_matches_the_full_stack(n_layers, d_model, seq, dropout):
+    cfg = md.EncoderConfig(vocab_size=60, d_model=d_model, n_layers=n_layers, n_heads=4, d_ff=4 * d_model,
+                           max_seq_len=seq, dropout=dropout)
+    rng = np.random.default_rng(d_model + seq + n_layers)
+    ids, mask = make_batch(rng, batch=3, seq=seq, vocab=cfg.vocab_size, n_pad=seq // 3)
+    labels = {t: rng.integers(0, 2, size=3) for t in TASKS}
+    hidden = md.encoder_forward(md.init_model(cfg, md.MTL, seed=1), ids, mask, cls_only=True)
+    assert hidden.shape == (3, 1, d_model)
+
+    for params in (md.init_model(cfg, md.STL, task="engaging", seed=2), md.init_model(cfg, md.MTL, seed=3)):
+        cls_logits, cls_grads, cls_state = _classifier_pass(params, ids, mask, labels, np.random.default_rng(5), True)
+        logits, grads, state = _classifier_pass(params, ids, mask, labels, np.random.default_rng(5), False)
+        assert cls_state == state  # the same draws from the generator
+        for task in logits:
+            assert np.abs(cls_logits[task] - logits[task]).max() <= 1e-12 * np.abs(logits[task]).max(), task
+        largest = max(np.abs(g).max() for g in grads.values())
+        for name in grads:
+            # A key bias shifts all of a query's scores alike, so its true grad is 0 and both
+            # paths hold rounding noise: measure it against the model's largest grad.
+            scale = largest if name.endswith("attn.bk") else np.abs(grads[name]).max()
+            assert np.abs(cls_grads[name] - grads[name]).max() <= 1e-12 * scale, name
+
+
 def test_mtl_head_isolation():
     params = md.init_model(TINY, md.MTL, seed=9)
     ids, mask = make_batch(np.random.default_rng(9))

@@ -103,6 +103,36 @@ def test_gelu_values():
     assert out.data[2] == pytest.approx(8.0, abs=1e-6)  # asymptote
 
 
+def test_gelu_cube_as_products_matches_the_pow_formula():
+    x = np.linspace(-10.0, 10.0, 20001)
+    reference = 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
+    assert ad.relative_error(ad.gelu(ad.Tensor(x)).data, reference) <= 1e-15
+
+
+def test_dropout_draw_shape_equal_to_the_tensor_shape_changes_nothing():
+    x = ad.Tensor(np.ones((3, 4)))
+    plain_rng, drawn_rng = np.random.default_rng(7), np.random.default_rng(7)
+    plain = ad.dropout(x, 0.4, plain_rng)
+    drawn = ad.dropout(x, 0.4, drawn_rng, draw_shape=(3, 4))
+    assert np.array_equal(plain.data, drawn.data)
+    assert plain_rng.bit_generator.state == drawn_rng.bit_generator.state
+
+
+def test_dropout_larger_draw_shape_keeps_the_leading_block():
+    block_rng, full_rng = np.random.default_rng(8), np.random.default_rng(8)
+    block = ad.dropout(ad.Tensor(np.ones((2, 1, 3))), 0.4, block_rng, draw_shape=(2, 5, 4))
+    full = ad.dropout(ad.Tensor(np.ones((2, 5, 4))), 0.4, full_rng)
+    assert np.array_equal(block.data, full.data[:, :1, :3])
+    assert block_rng.bit_generator.state == full_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("draw_shape", [(3,), (3, 4, 1), (2, 4), (3, 3)])
+@pytest.mark.parametrize("p", [0.0, 0.4])
+def test_dropout_rejects_a_draw_shape_that_does_not_cover_the_tensor(draw_shape, p):
+    with pytest.raises(ValueError, match="draw shape"):
+        ad.dropout(ad.Tensor(np.ones((3, 4))), p, np.random.default_rng(0), draw_shape)
+
+
 def test_embedding_lookup_first_row():
     table = ad.Tensor(np.arange(15.0).reshape(5, 3))
     out = ad.embedding_lookup(table, [0])
