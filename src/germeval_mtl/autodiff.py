@@ -1,9 +1,10 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Small on purpose: only the operations the transformer encoder, the
-classification heads, and the losses actually need. Everything is float64
-because the whole project is validated with tight finite-difference
-gradient checks rather than throughput benchmarks.
+classification heads, the losses and the gradient oracle build, each with
+its own gradient check. Everything is float64 because the whole project is
+validated with tight finite-difference gradient checks rather than
+throughput benchmarks.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+_LN_EPS = 1e-12
 
 # Per-op construction counts, for instrumentation (e.g. proving that the
 # multitask forward runs the encoder exactly once per batch).
@@ -96,42 +98,16 @@ class Tensor:
 
     # -- operators ---------------------------------------------------------
 
-    def __add__(self, other):
-        return add(self, ensure_tensor(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, ensure_tensor(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return add(self, neg(ensure_tensor(other)))
-
-    def __rsub__(self, other):
-        return add(ensure_tensor(other), neg(self))
-
     def __truediv__(self, other):
         if not isinstance(other, (int, float)):
             raise TypeError("Tensor division only supports plain scalars")
-        return mul(self, ensure_tensor(1.0 / other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+        return mul(self, Tensor(1.0 / other))
 
     def __getitem__(self, key):
         return narrow(self, key)
 
     def backward(self) -> None:
         backward(self)
-
-
-def ensure_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 def parameter(data) -> Tensor:
@@ -173,10 +149,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return [_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)]
 
     return _make("mul", out, (a, b), backward_fn)
-
-
-def neg(a: Tensor) -> Tensor:
-    return _make("neg", -a.data, (a,), lambda g: [-g])
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -234,18 +206,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make("sum", out, (a,), backward_fn)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    ratio = a.data.size / max(out.size, 1)
-
-    def backward_fn(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return [np.ascontiguousarray(np.broadcast_to(g, a.shape)) / ratio]
-
-    return _make("mean", out, (a,), backward_fn)
-
-
 # -- neural-network ops ------------------------------------------------------
 
 
@@ -264,7 +224,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _make("softmax_rows", y, (x,), backward_fn)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     d = x.shape[-1] if x.ndim else 0
     if d == 0:
@@ -273,7 +233,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
         raise ValueError(f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match feature size {d}")
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = (x.data - mu) * inv
     out = gamma.data * xhat + beta.data
 
@@ -429,7 +389,7 @@ def backward(loss: Tensor) -> None:
             node.grad = np.array(g) if node.grad is None else np.add(node.grad, g, out=node.grad)
             continue
         for par, contrib in zip(node.parents, node.backward_fn(g)):
-            if contrib is None or not par.requires_grad:
+            if not par.requires_grad:
                 continue
             key = id(par)
             if key in adjoint:

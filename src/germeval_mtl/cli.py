@@ -124,7 +124,7 @@ def _sidecar(path: Path, cfg_hash: str) -> None:
     _write_json(Path(str(path) + ".meta.json"), {"config_hash": cfg_hash})
 
 
-def _output_path(path: str, directory: bool = False) -> Path:
+def _output_path(path: str | Path, directory: bool = False) -> Path:
     """``--out`` as a Path, refused before any work if it cannot be written as a file (or ``directory``)."""
     out = Path(path)
     if out.exists() and out.is_dir() != directory:
@@ -384,6 +384,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    outs = [_output_path(Path(args.out).with_suffix(suffix)) for suffix in (".txt", ".csv")] if args.out else []
     grid, source = {}, {}
     for run_dir in args.runs:
         run = Path(run_dir)
@@ -410,12 +411,12 @@ def cmd_report(args) -> int:
     table = mx.results_table(grid)
     print(f"averaging mode: {args.averaging}")
     print(table.text, end="")
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.with_suffix(".txt").write_text(table.text, encoding="utf-8")
-        out.with_suffix(".csv").write_text(table.csv, encoding="utf-8")
-        print(f"report written to {out.with_suffix('.txt')} and {out.with_suffix('.csv')}")
+    if outs:
+        txt_out, csv_out = outs
+        txt_out.parent.mkdir(parents=True, exist_ok=True)
+        txt_out.write_text(table.text, encoding="utf-8")
+        csv_out.write_text(table.csv, encoding="utf-8")
+        print(f"report written to {txt_out} and {csv_out}")
     return EXIT_OK
 
 

@@ -97,8 +97,8 @@ class ResultTable:
 
 def _ordered_rows(metrics: dict) -> list:
     models = list(dict.fromkeys(model for model, _ in metrics))
-    envs = [e for e in ENVIRONMENT_ORDER if any(env == e for _, env in metrics)]
-    envs += [env for _, env in metrics if env not in envs]
+    seen = [env for _, env in metrics]
+    envs = list(dict.fromkeys([e for e in ENVIRONMENT_ORDER if e in seen] + seen))
     rows = []
     for model in models:
         for env in envs:

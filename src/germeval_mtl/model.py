@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,12 @@ class EncoderConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
+        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_seq_len"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.dropout, bool) or not isinstance(self.dropout, (int, float)):
+            raise ValueError(f"dropout must be a number, got {self.dropout!r}")
         for name in ("vocab_size", "d_model", "n_heads", "d_ff"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -337,10 +343,19 @@ def save_checkpoint(params: ModelParams, path: str | Path, extra_meta: dict | No
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
     with np.load(Path(path), allow_pickle=False) as bundle:
         meta = json.loads(str(bundle["__meta__"]))
+        if not isinstance(meta, dict):
+            raise ValueError(f"checkpoint metadata must be a JSON object, got {type(meta).__name__}")
         if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format {meta.get('format_version')!r}")
         arrays = {key[len("param/"):]: bundle[key] for key in bundle.files if key.startswith("param/")}
-    params = ModelParams(EncoderConfig(**meta["config"]), meta["environment"], meta["task"], meta["has_mlm_head"])
+    config = meta["config"]
+    if not isinstance(config, dict):
+        raise ValueError(f"checkpoint config must be a JSON object, got {type(config).__name__}")
+    expected = {f.name for f in fields(EncoderConfig)}
+    if set(config) != expected:
+        raise ValueError(f"checkpoint config keys: unknown {sorted(set(config) - expected)},"
+                         f" missing {sorted(expected - set(config))}")
+    params = ModelParams(EncoderConfig(**config), meta["environment"], meta["task"], meta["has_mlm_head"])
     missing = set(params.tensors) - set(arrays)
     if missing:
         raise ValueError(f"checkpoint is missing parameters: {sorted(missing)}")

@@ -67,6 +67,9 @@ class TrainConfig:
         if not self.seeds:
             raise ValueError("need at least one seed")
         self.seeds = tuple(int(s) for s in self.seeds)
+        repeated = next((s for i, s in enumerate(self.seeds) if s in self.seeds[:i]), None)
+        if repeated is not None:  # a repeated seed would train twice and vote twice in the ensemble
+            raise ValueError(f"seed {repeated} is listed more than once")
         if min(self.seeds) < 0 or self.split_seed < 0:  # NumPy seeds are non-negative
             raise ValueError("seeds and split_seed must be non-negative")
 
@@ -284,7 +287,7 @@ def train_one(params: md.ModelParams, train_ds: dt.EncodedDataset, val_ds: dt.En
 
 
 def lm_finetune(params: md.ModelParams, corpus: list, vocab: tok.Vocab, cfg: TrainConfig,
-                seed: int, max_len: int, mask_prob: float = 0.15) -> md.ModelParams:
+                seed: int, max_len: int) -> md.ModelParams:
     """Masked-LM training of the encoder; classification heads stay untouched.
 
     Reuses the classification hyperparameters (epochs, learning rate,
@@ -299,8 +302,7 @@ def lm_finetune(params: md.ModelParams, corpus: list, vocab: tok.Vocab, cfg: Tra
     dropout_rng = np.random.default_rng((seed, 21))
 
     def batch_loss(epoch: int, idx: np.ndarray) -> ad.Tensor:
-        masked, labels = zip(*(tok.mask_for_mlm(vocab, encoded[j], rng_seed=(seed, 22, epoch, int(j)),
-                                                mask_prob=mask_prob) for j in idx))
+        masked, labels = zip(*(tok.mask_for_mlm(vocab, encoded[j], rng_seed=(seed, 22, epoch, int(j))) for j in idx))
         ids, attn = md.stack_batch(list(masked))
         logits = md.mlm_forward(params, ids, attn, train_mode=True, rng=dropout_rng)
         return obj.mlm_loss(logits, np.asarray(labels))
@@ -310,13 +312,13 @@ def lm_finetune(params: md.ModelParams, corpus: list, vocab: tok.Vocab, cfg: Tra
 
 
 def mlm_top1_accuracy(params: md.ModelParams, corpus: list, vocab: tok.Vocab, max_len: int,
-                      mask_prob: float = 0.15, seed: int = 0) -> float:
+                      seed: int = 0) -> float:
     """Fraction of masked positions whose top-1 prediction is the original id."""
     hits = total = 0
     with ad.no_grad():
         for j, text in enumerate(corpus):
             enc = tok.encode(vocab, text, max_len)
-            masked, labels = tok.mask_for_mlm(vocab, enc, rng_seed=(seed, 23, j), mask_prob=mask_prob)
+            masked, labels = tok.mask_for_mlm(vocab, enc, rng_seed=(seed, 23, j))
             labels = np.asarray(labels)
             if (labels == tok.IGNORE_INDEX).all():
                 continue

@@ -30,10 +30,6 @@ def _build_mul(rng):
     return ad.mul, [a, b]
 
 
-def _build_neg(rng):
-    return ad.neg, [_rand(rng, 2, 3)]
-
-
 def _build_matmul(rng):
     a = _rand(rng, 3, 4)
     b = _rand(rng, 4, 2)
@@ -60,10 +56,6 @@ def _build_narrow(rng):
 
 def _build_sum(rng):
     return lambda x: ad.tsum(x, axis=1), [_rand(rng, 3, 4, 2)]
-
-
-def _build_mean(rng):
-    return lambda x: ad.tmean(x, axis=-1), [_rand(rng, 4, 5)]
 
 
 def _build_softmax(rng):
@@ -111,14 +103,12 @@ def _build_cross_entropy_ignore(rng):
 OP_TRIALS = {
     "add": _build_add,
     "mul": _build_mul,
-    "neg": _build_neg,
     "matmul": _build_matmul,
     "matmul_batched": _build_matmul_batched,
     "transpose": _build_transpose,
     "reshape": _build_reshape,
     "narrow": _build_narrow,
     "sum": _build_sum,
-    "mean": _build_mean,
     "softmax_rows": _build_softmax,
     "layer_norm": _build_layer_norm,
     "gelu": _build_gelu,

@@ -343,6 +343,25 @@ def test_predict_bad_checkpoint_exits_2(workspace, trained_run, tmp_path, capsys
         assert reason in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("damage", {
+    "unknown-config-key": lambda meta: meta["config"].update(n_experts=2) or meta,
+    "string-n-layers": lambda meta: meta["config"].update(n_layers="2") or meta,
+    "null-config": lambda meta: meta.update(config=None) or meta,
+    "list-metadata": lambda meta: [meta],
+}.items(), ids=lambda item: item[0])
+def test_predict_malformed_checkpoint_metadata_exits_2(workspace, trained_run, tmp_path, capsys, damage):
+    _, data_path, _, vocab_path = workspace
+    with np.load(trained_run / "ckpt-seed1.npz") as bundle:
+        arrays = {k: bundle[k] for k in bundle.files}
+    arrays["__meta__"] = np.asarray(json.dumps(damage[1](json.loads(str(arrays["__meta__"])))))
+    ckpt, out = tmp_path / "damaged.npz", tmp_path / "preds.csv"
+    np.savez(ckpt, **arrays)
+    rc = cli.main(["predict", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
+                   "--data", str(data_path), "--out", str(out)])
+    _one_line_error(capsys, rc, 2, f"data error: {ckpt}")
+    assert not out.exists()
+
+
 def test_evaluate_rejects_duplicate_ids(workspace, trained_run, tmp_path, capsys):
     gold = trained_run / "val-gold.csv"
     ids, preds = dt.load_predictions(gold)
@@ -409,6 +428,7 @@ def test_predict_nonpositive_batch_size_exits_1(workspace, trained_run, tmp_path
     "train --set adam_beta1=1.5",
     "train --set adam_beta2=1",
     "train --seeds -1",
+    "train --seeds 1,1",
     "train --split-seed -1",
     "train --max-len 2",
     "train --max-len=-1",
@@ -533,10 +553,11 @@ def test_unusable_path_exits_2(workspace, trained_run, tmp_path, capsys, case):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("command", ["build-vocab", "pretrain-lm", "predict", "evaluate", "train"])
+@pytest.mark.parametrize("command", ["build-vocab", "pretrain-lm", "predict", "evaluate", "train", "report"])
 def test_unusable_out_is_refused_before_any_work(workspace, trained_run, tmp_path, capsys, monkeypatch, command):
     _, data_path, config_path, vocab_path = workspace
-    for module, name in ((tok, "build_vocab"), (tr, "lm_finetune"), (tr, "run_experiment"), (tr, "predict_dataset")):
+    for module, name in ((tok, "build_vocab"), (tr, "lm_finetune"), (tr, "run_experiment"), (tr, "predict_dataset"),
+                         (dt, "load_predictions")):
         def refuse(*args, name=name, **kwargs):
             raise AssertionError(f"{name} ran before --out was checked")
 
@@ -553,6 +574,7 @@ def test_unusable_out_is_refused_before_any_work(workspace, trained_run, tmp_pat
         "evaluate": ["evaluate", "--gold", str(trained_run / "val-gold.csv"),
                      "--pred", str(trained_run / "preds-ensemble.csv"), "--out", str(a_dir)],
         "train": ["train", *config, "--out", str(a_file / "run")],
+        "report": ["report", "--runs", str(trained_run), "--out", str(a_file / "grid")],
     }[command]
     rc = cli.main(argv)
     captured = capsys.readouterr()

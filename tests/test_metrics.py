@@ -144,6 +144,16 @@ def test_results_table_environment_grid_order():
     assert envs == ["STL", "LM+STL", "MTL", "LM+MTL"]
 
 
+def test_results_table_lists_unlisted_environment_rows_once():
+    tasks = ("toxic", "engaging", "fact_claiming")
+    metrics = {key: {t: _metric(0.5) for t in tasks} for key in (("a", "X"), ("b", "X"), ("a", "STL"))}
+    table = mx.results_table(metrics)
+    rows = [tuple(line.split()[:2]) for line in table.text.splitlines()[2:]]
+    assert rows == [("a", "STL"), ("a", "X"), ("b", "X")]
+    csv_rows = [tuple(line.split(",")[:3]) for line in table.csv.splitlines()[1:]]
+    assert csv_rows == [(model, env, t) for model, env in rows for t in tasks]
+
+
 def test_results_table_best_matches_independent_scan():
     rng = np.random.default_rng(0)
     metrics = {}

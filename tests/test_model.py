@@ -31,6 +31,13 @@ def test_encoder_config_validation():
         md.EncoderConfig(max_seq_len=2)
 
 
+@pytest.mark.parametrize("name, value", [("n_layers", "2"), ("d_model", 8.0), ("n_heads", True),
+                                         ("dropout", "0.1"), ("dropout", False)])
+def test_encoder_config_rejects_mistyped_values(name, value):
+    with pytest.raises(ValueError, match=name):
+        md.EncoderConfig(**{name: value})
+
+
 def test_encoder_output_shape():
     params = md.init_model(TINY, md.MTL, seed=0)
     ids, mask = make_batch(np.random.default_rng(0))

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from germeval_mtl import autodiff as ad
+from germeval_mtl import model as md
+from germeval_mtl import objectives as obj
+from germeval_mtl import tokenizer as tok
 from op_suite import OP_TRIALS, run_trials
 
 
@@ -266,6 +269,31 @@ def test_finite_diff_agrees_with_backward_on_cross_entropy():
 def test_op_gradient_trials(name):
     report = run_trials(name, n_trials=20, tolerance=1e-4)
     assert report.passed, report
+
+
+def test_every_op_the_model_builds_is_grad_checked_and_no_other():
+    """The engine is exactly what the encoder, heads, losses and oracle build."""
+    cfg = md.EncoderConfig(vocab_size=20, d_model=8, n_layers=2, n_heads=2, d_ff=12, max_seq_len=6, dropout=0.1)
+    rng = np.random.default_rng(3)
+    ids = rng.integers(5, cfg.vocab_size, size=(2, 6))
+    ids[:, 0] = tok.CLS_ID
+    mask = np.ones((2, 6))
+    ids[1, -1], mask[1, -1] = tok.PAD_ID, 0.0
+    labels = {t: rng.integers(0, 2, size=2) for t in md.TASKS}
+    mlm_labels = np.full((2, 6), tok.IGNORE_INDEX)
+    mlm_labels[0, 2] = 7
+
+    ad.reset_op_counts()
+    mtl = md.init_model(cfg, md.MTL, with_mlm_head=True, seed=1)
+    obj.loss_bundle(md.mtl_forward(mtl, ids, mask, train_mode=True, rng=1), labels).l_multi.backward()
+    obj.mlm_loss(md.mlm_forward(mtl, ids, mask, train_mode=True, rng=2), mlm_labels).backward()
+    stl = md.init_model(cfg, md.STL, task=md.TASKS[0], seed=1)
+    obj.task_loss(md.stl_forward(stl, ids, mask, train_mode=True, rng=3), labels[md.TASKS[0]]).backward()
+    ad.grad_check("gelu", ad.gelu, [ad.parameter(rng.standard_normal((2, 3)))])
+
+    trial_ops = {"matmul_batched": "matmul", "cross_entropy_ignore": "cross_entropy"}
+    checked = {trial_ops.get(name, name) for name in OP_TRIALS}
+    assert set(ad.op_counts()) == checked
 
 
 def test_grad_check_report_fields():

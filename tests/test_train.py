@@ -54,6 +54,12 @@ def test_train_config_validation():
         tr.TrainConfig(seeds=())
 
 
+def test_train_config_rejects_a_repeated_seed():
+    with pytest.raises(ValueError, match="seed 1 is listed more than once"):
+        tr.TrainConfig(seeds=(1, 2, 1))
+    assert tr.TrainConfig(seeds=(2, 1)).seeds == (2, 1)
+
+
 def test_environment_labels():
     assert tr.TrainConfig(environment="stl").environment_label == "STL"
     assert tr.TrainConfig(environment="stl", lm_stage=True).environment_label == "LM+STL"
