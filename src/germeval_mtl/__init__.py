@@ -8,7 +8,7 @@ stopping, majority-vote seed ensembling, and precision/recall/F1 scoring.
 """
 
 from germeval_mtl.autodiff import GradCheckReport, Tensor, finite_diff_grad, grad_check
-from germeval_mtl.data import Example, FormatSpec, SynthSpec, load_dataset, split, summarize, synth_generate
+from germeval_mtl.data import Example, SynthSpec, load_dataset, split, summarize, synth_generate
 from germeval_mtl.metrics import ConfusionCounts, TaskMetrics, confusion, prf1, results_table
 from germeval_mtl.model import EncoderConfig, ModelParams, init_model, load_checkpoint, save_checkpoint
 from germeval_mtl.objectives import LossBundle, loss_bundle, mlm_loss, multi_loss, task_loss
@@ -27,7 +27,6 @@ __all__ = [
     "EncodedInput",
     "EncoderConfig",
     "Example",
-    "FormatSpec",
     "GradCheckReport",
     "LossBundle",
     "ModelParams",

@@ -195,12 +195,11 @@ def narrow(a: Tensor, key) -> Tensor:
     return _make("narrow", out, (a,), backward_fn)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor) -> Tensor:
+    """Sum of every element, as a 0-d tensor."""
+    out = a.data.sum()
 
     def backward_fn(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         return [np.ascontiguousarray(np.broadcast_to(g, a.shape))]
 
     return _make("sum", out, (a,), backward_fn)

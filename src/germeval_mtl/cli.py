@@ -297,6 +297,8 @@ def cmd_predict(args) -> int:
             params, meta = md.load_checkpoint(ckpt)
         except (ValueError, KeyError, zipfile.BadZipFile) as exc:
             raise DataError(f"{ckpt}: unreadable checkpoint: {exc}") from exc
+        if meta.get("stage") == "lm":
+            raise DataError(f"{ckpt} is a masked-LM stage checkpoint from pretrain-lm; its heads are untrained")
         stored = meta.get("vocab_hash")
         if stored is not None and stored != vocab_hash:
             raise ConfigError(
@@ -384,7 +386,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    outs = [_output_path(Path(args.out).with_suffix(suffix)) for suffix in (".txt", ".csv")] if args.out else []
+    outs = []
+    if args.out is not None:
+        if not Path(args.out).name:
+            raise DataError(f"--out {args.out!r} has no file name to give the .txt and .csv suffixes")
+        outs = [_output_path(Path(args.out).with_suffix(suffix)) for suffix in (".txt", ".csv")]
     grid, source = {}, {}
     for run_dir in args.runs:
         run = Path(run_dir)

@@ -1,16 +1,16 @@
 """Dataset ingestion, splitting, distribution audits, and synthetic corpora.
 
-The on-disk format is delimited text with one comment per row and three
-binary label columns (toxic, engaging, fact-claiming). Column names and
-the delimiter are declarative so the loader tolerates whatever header the
-official release uses.
+The on-disk format is the GermEval-2021 release's: comma-separated text
+with the header ``comment_id,comment_text,Sub1_Toxic,Sub2_Engaging,
+Sub3_FactClaiming``, one comment per row, and three binary label columns
+(toxic, engaging, fact-claiming).
 """
 
 from __future__ import annotations
 
 import csv
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,9 @@ import numpy as np
 from germeval_mtl import tokenizer as tok
 
 TASKS = ("toxic", "engaging", "fact_claiming")
+ID_COLUMN = "comment_id"
+TEXT_COLUMN = "comment_text"
+LABEL_COLUMNS = {"toxic": "Sub1_Toxic", "engaging": "Sub2_Engaging", "fact_claiming": "Sub3_FactClaiming"}
 
 
 class DataError(Exception):
@@ -40,20 +43,6 @@ class Example:
 
 
 @dataclass
-class FormatSpec:
-    delimiter: str = ","
-    id_column: str = "comment_id"
-    text_column: str = "comment_text"
-    label_columns: dict = field(
-        default_factory=lambda: {
-            "toxic": "Sub1_Toxic",
-            "engaging": "Sub2_Engaging",
-            "fact_claiming": "Sub3_FactClaiming",
-        }
-    )
-
-
-@dataclass
 class DatasetSummary:
     """Counts of examples per (toxic, engaging, fact_claiming) triple."""
 
@@ -64,7 +53,7 @@ class DatasetSummary:
         return self.counts.get((toxic, engaging, fact_claiming), 0)
 
 
-def _read(path: str | Path, spec: FormatSpec, text: bool, labels: bool | None) -> tuple[list, list, dict]:
+def _read(path: str | Path, text: bool, labels: bool | None) -> tuple[list, list, dict]:
     """The one reader behind every loader: (ids, texts, task -> 0/1 labels).
 
     A header is required and every row has exactly its field count; ids are
@@ -76,17 +65,17 @@ def _read(path: str | Path, spec: FormatSpec, text: bool, labels: bool | None) -
     if not path.exists():
         raise DataError(f"{path}: file not found")
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle, delimiter=spec.delimiter)
+        reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty file, expected a header row")
         col = {name: i for i, name in enumerate(header)}
-        task_of = {c: t for t, c in spec.label_columns.items()}
+        task_of = {c: t for t, c in LABEL_COLUMNS.items()}
         if labels is None:  # header order, as the file was written
             wanted = {task_of[c]: c for c in col if c in task_of}
         else:
-            wanted = spec.label_columns if labels else {}
-        needed = [spec.id_column, *([spec.text_column] if text else []), *wanted.values()]
+            wanted = LABEL_COLUMNS if labels else {}
+        needed = [ID_COLUMN, *([TEXT_COLUMN] if text else []), *wanted.values()]
         missing = [c for c in needed if c not in col]
         if missing:
             raise DataError(f"{path}: header is missing columns {missing}")
@@ -99,14 +88,14 @@ def _read(path: str | Path, spec: FormatSpec, text: bool, labels: bool | None) -
                 continue
             if len(row) != len(header):
                 raise DataError(f"{path}: line {line}: expected {len(header)} fields, got {len(row)}")
-            ex_id = row[col[spec.id_column]].strip()
+            ex_id = row[col[ID_COLUMN]].strip()
             if ex_id in first_line:
-                raise DataError(f"{path}: line {line}: duplicate {spec.id_column} {ex_id!r}"
+                raise DataError(f"{path}: line {line}: duplicate {ID_COLUMN} {ex_id!r}"
                                 f" (first on line {first_line[ex_id]})")
             first_line[ex_id] = line
             ids.append(ex_id)
             if text:
-                texts.append(unicodedata.normalize("NFC", row[col[spec.text_column]]))
+                texts.append(unicodedata.normalize("NFC", row[col[TEXT_COLUMN]]))
             for task, column in wanted.items():
                 value = row[col[column]].strip()
                 if value not in ("0", "1"):
@@ -115,36 +104,33 @@ def _read(path: str | Path, spec: FormatSpec, text: bool, labels: bool | None) -
     return ids, texts, values
 
 
-def load_dataset(path: str | Path, format_spec: FormatSpec | None = None) -> list[Example]:
+def load_dataset(path: str | Path) -> list[Example]:
     """Read one Example per row, preserving text verbatim (after NFC)."""
-    ids, texts, labels = _read(path, format_spec or FormatSpec(), text=True, labels=True)
+    ids, texts, labels = _read(path, text=True, labels=True)
     return [Example(ex_id, text, **{t: v[n] for t, v in labels.items()})
             for n, (ex_id, text) in enumerate(zip(ids, texts))]
 
 
-def load_texts(path: str | Path, format_spec: FormatSpec | None = None) -> tuple[list[str], list[str]]:
+def load_texts(path: str | Path) -> tuple[list[str], list[str]]:
     """Read (ids, texts) from a file that may or may not carry labels."""
-    ids, texts, _ = _read(path, format_spec or FormatSpec(), text=True, labels=False)
+    ids, texts, _ = _read(path, text=True, labels=False)
     return ids, texts
 
 
-def write_dataset(path: str | Path, examples: list[Example], format_spec: FormatSpec | None = None) -> None:
-    spec = format_spec or FormatSpec()
-    columns = [spec.id_column, spec.text_column, *spec.label_columns.values()]
+def write_dataset(path: str | Path, examples: list[Example]) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, delimiter=spec.delimiter)
-        writer.writerow(columns)
+        writer = csv.writer(handle)
+        writer.writerow([ID_COLUMN, TEXT_COLUMN, *LABEL_COLUMNS.values()])
         for ex in examples:
-            writer.writerow([ex.id, ex.text, *(ex.label(t) for t in spec.label_columns)])
+            writer.writerow([ex.id, ex.text, *(ex.label(t) for t in LABEL_COLUMNS)])
 
 
 def write_predictions(path: str | Path, ids: list[str], preds: dict) -> None:
     """Emit `comment_id` plus one 0/1 column per predicted task."""
     tasks = [t for t in TASKS if t in preds]
-    spec = FormatSpec()
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, delimiter=spec.delimiter)
-        writer.writerow([spec.id_column, *(spec.label_columns[t] for t in tasks)])
+        writer = csv.writer(handle)
+        writer.writerow([ID_COLUMN, *(LABEL_COLUMNS[t] for t in tasks)])
         for i, ex_id in enumerate(ids):
             writer.writerow([ex_id, *(int(preds[t][i]) for t in tasks)])
 
@@ -155,7 +141,7 @@ def load_predictions(path: str | Path) -> tuple[list[str], dict]:
     Takes whichever label columns the header has. Duplicate ids are
     rejected: aligning them to gold labels is ambiguous.
     """
-    ids, _, labels = _read(path, FormatSpec(), text=False, labels=None)
+    ids, _, labels = _read(path, text=False, labels=None)
     return ids, {t: np.asarray(v, dtype=np.int64) for t, v in labels.items()}
 
 
@@ -181,6 +167,8 @@ def split(examples: list[Example], ratio: float, seed: int) -> tuple[list[Exampl
 # -- synthetic desk-scale corpora ---------------------------------------------
 
 _SYLLABLES = ("ba", "de", "ki", "lo", "mu", "na", "po", "ri", "su", "ta")
+_FILLERS = [a + b for a in _SYLLABLES[:4] for b in _SYLLABLES]
+MARKERS = {"toxic": "TOXMARK", "engaging": "ENGMARK", "fact_claiming": "FACTMARK"}
 
 
 @dataclass
@@ -194,26 +182,8 @@ class SynthSpec:
 
     correlation: float = 1.0
     noise: float = 0.0
-    markers: dict = field(
-        default_factory=lambda: {
-            "toxic": "TOXMARK",
-            "engaging": "ENGMARK",
-            "fact_claiming": "FACTMARK",
-        }
-    )
-    filler_words: int = 40
     min_tokens: int = 6
     max_tokens: int = 12
-
-
-def _filler_vocabulary(count: int) -> list[str]:
-    if not 1 <= count <= len(_SYLLABLES) ** 2:
-        raise ValueError(f"filler_words must be in [1, {len(_SYLLABLES) ** 2}]")
-    words = []
-    for i in range(count):
-        first, second = divmod(i, len(_SYLLABLES))
-        words.append(_SYLLABLES[first] + _SYLLABLES[second])
-    return words
 
 
 def synth_generate(n: int, seed: int, spec: SynthSpec | None = None) -> list[Example]:
@@ -227,16 +197,15 @@ def synth_generate(n: int, seed: int, spec: SynthSpec | None = None) -> list[Exa
     # independently with probability q is q^2 + (1-q)^2; invert for q.
     q = 0.5 * (1.0 - np.sqrt(2.0 * spec.correlation - 1.0))
     rng = np.random.default_rng(seed)
-    fillers = _filler_vocabulary(spec.filler_words)
     examples = []
     for i in range(n):
         shared = rng.random() < 0.5
         labels = {task: int(shared ^ (rng.random() < q)) for task in TASKS}
         length = int(rng.integers(spec.min_tokens, spec.max_tokens + 1))
-        tokens = [fillers[int(k)] for k in rng.integers(0, len(fillers), size=length)]
+        tokens = [_FILLERS[int(k)] for k in rng.integers(0, len(_FILLERS), size=length)]
         for task in TASKS:
             if labels[task]:
-                tokens.insert(int(rng.integers(0, len(tokens) + 1)), spec.markers[task])
+                tokens.insert(int(rng.integers(0, len(tokens) + 1)), MARKERS[task])
         for task in TASKS:
             if spec.noise > 0 and rng.random() < spec.noise:
                 labels[task] ^= 1

@@ -202,19 +202,13 @@ def stack_batch(batch: list[EncodedInput]) -> tuple[np.ndarray, np.ndarray]:
     return ids, mask
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def encoder_forward(params: ModelParams, ids: np.ndarray, attention_mask: np.ndarray,
                     train_mode: bool = False, rng=None, cls_only: bool = False) -> ad.Tensor:
     """Run the encoder stack; returns hidden states of shape (B, L, d).
 
     Self-attention is padding-masked: keys at PAD positions receive a large
     negative score before the softmax. Dropout fires only in ``train_mode``
-    and draws from ``rng`` (an int seed or a Generator), so evaluation is
+    and draws from ``rng`` (a ``np.random.Generator``), so evaluation is
     deterministic and training reproducible.
 
     With ``cls_only`` the result is the CLS state alone, shape (B, 1, d):
@@ -235,9 +229,8 @@ def encoder_forward(params: ModelParams, ids: np.ndarray, attention_mask: np.nda
 
     use_dropout = train_mode and cfg.dropout > 0.0
     if use_dropout:
-        if rng is None:
-            raise ValueError("train_mode forward needs an rng seed for dropout")
-        rng = _as_generator(rng)
+        if not isinstance(rng, np.random.Generator):
+            raise ValueError(f"train_mode forward needs rng to be a np.random.Generator, got {type(rng).__name__}")
 
     def drop(x: ad.Tensor, draw_shape=None) -> ad.Tensor:
         return ad.dropout(x, cfg.dropout, rng, draw_shape) if use_dropout else x
@@ -341,7 +334,10 @@ def save_checkpoint(params: ModelParams, path: str | Path, extra_meta: dict | No
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
-    with np.load(Path(path), allow_pickle=False) as bundle:
+    bundle = np.load(Path(path), allow_pickle=False)
+    if not isinstance(bundle, np.lib.npyio.NpzFile):
+        raise ValueError(f"not an .npz archive: np.load returned a {type(bundle).__name__}")
+    with bundle:
         meta = json.loads(str(bundle["__meta__"]))
         if not isinstance(meta, dict):
             raise ValueError(f"checkpoint metadata must be a JSON object, got {type(meta).__name__}")

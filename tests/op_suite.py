@@ -55,7 +55,7 @@ def _build_narrow(rng):
 
 
 def _build_sum(rng):
-    return lambda x: ad.tsum(x, axis=1), [_rand(rng, 3, 4, 2)]
+    return lambda x: ad.tsum(x), [_rand(rng, 3, 4, 2)]
 
 
 def _build_softmax(rng):

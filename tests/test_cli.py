@@ -305,6 +305,11 @@ def test_pretrain_lm_standalone(workspace, tmp_path, capsys):
     assert meta["seed"] == 3
     assert params.has_mlm_head
     assert "top-1 accuracy" in capsys.readouterr().out
+    out = tmp_path / "lm-preds.csv"
+    rc = cli.main(["predict", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
+                   "--data", str(data_path), "--out", str(out)])
+    _one_line_error(capsys, rc, 2, "masked-LM stage checkpoint")
+    assert not out.exists()
 
 
 def test_predict_max_len_defaults_to_checkpoint(workspace, trained_run, tmp_path, capsys):
@@ -334,7 +339,10 @@ def test_predict_bad_checkpoint_exits_2(workspace, trained_run, tmp_path, capsys
     truncated = tmp_path / "truncated.npz"
     blob = (trained_run / "ckpt-seed1.npz").read_bytes()
     truncated.write_bytes(blob[: len(blob) // 2])
-    for ckpt, reason in ((future, "unsupported checkpoint format 99"), (truncated, "unreadable")):
+    plain = tmp_path / "plain.npy"
+    np.save(plain, np.zeros(3))
+    for ckpt, reason in ((future, "unsupported checkpoint format 99"), (truncated, "unreadable"),
+                         (plain, "not an .npz archive")):
         capsys.readouterr()
         rc = cli.main(["predict", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
                        "--data", str(data_path), "--out", str(tmp_path / "x.csv")])
@@ -542,11 +550,12 @@ def _unusable_path_argv(case, workspace, trained_run, tmp_path):
         "predict-out-dir": ["predict", "--checkpoint", str(trained_run / "ckpt-seed1.npz"), "--vocab", str(vocab_path),
                             "--data", str(data_path), "--out", str(a_dir)],
         "evaluate-out-dir": ["evaluate", "--gold", str(gold), "--pred", str(preds), "--out", str(a_dir)],
+        "report-out-dot": ["report", "--runs", str(trained_run), "--out", "."],
     }[case]
 
 
 @pytest.mark.parametrize("case", ["train-out-file", "train-data-dir", "build-vocab-out-dir",
-                                  "build-vocab-data-dir", "predict-out-dir", "evaluate-out-dir"])
+                                  "build-vocab-data-dir", "predict-out-dir", "evaluate-out-dir", "report-out-dot"])
 def test_unusable_path_exits_2(workspace, trained_run, tmp_path, capsys, case):
     rc = cli.main(_unusable_path_argv(case, workspace, trained_run, tmp_path))
     _one_line_error(capsys, rc, 2, "data error: ")  # one line: no traceback reached stderr

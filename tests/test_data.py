@@ -90,19 +90,6 @@ def test_missing_file_and_missing_columns(tmp_path):
         dt.load_dataset(path)
 
 
-def test_custom_format_spec(tmp_path):
-    path = tmp_path / "tabs.tsv"
-    path.write_text("id\ttxt\ta\tb\tc\nx1\thallo\t1\t1\t0\n", encoding="utf-8")
-    spec = dt.FormatSpec(
-        delimiter="\t",
-        id_column="id",
-        text_column="txt",
-        label_columns={"toxic": "a", "engaging": "b", "fact_claiming": "c"},
-    )
-    (ex,) = dt.load_dataset(path, spec)
-    assert ex.id == "x1" and ex.label_triple() == (1, 1, 0)
-
-
 def test_summarize_counts():
     examples = [
         dt.Example("a", "x", 1, 0, 0),
@@ -153,7 +140,7 @@ def test_synth_markers_deterministic_at_zero_noise():
     spec = dt.SynthSpec(correlation=0.8, noise=0.0)
     for ex in dt.synth_generate(300, seed=3, spec=spec):
         for task in dt.TASKS:
-            assert (spec.markers[task] in ex.text.split()) == bool(ex.label(task))
+            assert (dt.MARKERS[task] in ex.text.split()) == bool(ex.label(task))
 
 
 def test_synth_regeneration_identical():

@@ -75,13 +75,14 @@ def test_eval_forward_bit_identical():
 def test_train_mode_dropout_is_seeded():
     params = md.init_model(TINY, md.MTL, seed=3)
     ids, mask = make_batch(np.random.default_rng(3))
-    a = md.encoder_forward(params, ids, mask, train_mode=True, rng=11).data
-    b = md.encoder_forward(params, ids, mask, train_mode=True, rng=11).data
-    c = md.encoder_forward(params, ids, mask, train_mode=True, rng=12).data
+    a = md.encoder_forward(params, ids, mask, train_mode=True, rng=np.random.default_rng(11)).data
+    b = md.encoder_forward(params, ids, mask, train_mode=True, rng=np.random.default_rng(11)).data
+    c = md.encoder_forward(params, ids, mask, train_mode=True, rng=np.random.default_rng(12)).data
     assert a.tobytes() == b.tobytes()
     assert a.tobytes() != c.tobytes()
-    with pytest.raises(ValueError, match="rng"):
-        md.encoder_forward(params, ids, mask, train_mode=True)
+    for rng in (None, 11):
+        with pytest.raises(ValueError, match="rng"):
+            md.encoder_forward(params, ids, mask, train_mode=True, rng=rng)
 
 
 def test_classify_zero_head_is_uniform():
