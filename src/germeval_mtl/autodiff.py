@@ -184,7 +184,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def narrow(a: Tensor, key) -> Tensor:
-    """Basic (slice/int) indexing with gradient scatter on the way back."""
+    """Slice/int indexing or a repeat-free integer index, with gradient scatter on the way back."""
     out = a.data[key]
 
     def backward_fn(g):
@@ -307,12 +307,10 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, draw_shape: Sequence[
     return _make("dropout", x.data * mask, (x,), lambda g: [g * mask])
 
 
-def cross_entropy(logits: Tensor, targets, ignore_index: int | None = None) -> Tensor:
-    """Mean negative log-softmax of the target class, fused for stability.
+def cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Mean negative log-softmax of the target class over every row, fused for stability.
 
-    ``targets`` holds one class index per row of the 2-D ``logits``. Rows
-    whose target equals ``ignore_index`` contribute neither loss nor
-    gradient; the mean runs over the remaining rows.
+    ``targets`` holds one class index per row of the 2-D ``logits``.
     """
     if logits.ndim != 2:
         raise ValueError(f"cross_entropy expects 2-D logits, got shape {logits.shape}")
@@ -322,27 +320,20 @@ def cross_entropy(logits: Tensor, targets, ignore_index: int | None = None) -> T
     targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != (m,):
         raise ValueError(f"targets shape {targets.shape} does not match batch size {m}")
-    valid = np.ones(m, dtype=bool) if ignore_index is None else targets != ignore_index
-    checked = targets[valid]
-    if checked.size and (checked.min() < 0 or checked.max() >= n_classes):
+    if targets.min() < 0 or targets.max() >= n_classes:
         raise ValueError(f"target out of range [0, {n_classes})")
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        raise ValueError("cross_entropy with every target ignored")
 
     z = logits.data
+    rows = np.arange(m)
     zmax = z.max(axis=-1, keepdims=True)
     lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=-1))
-    row_loss = lse[valid] - z[valid, targets[valid]]
-    out = np.asarray(row_loss.sum() / n_valid)
+    out = np.asarray((lse - z[rows, targets]).sum() / m)
 
     def backward_fn(g):
         p = np.exp(z - zmax)
         p /= p.sum(axis=-1, keepdims=True)
-        dz = p
-        dz[np.arange(m)[valid], targets[valid]] -= 1.0
-        dz[~valid] = 0.0
-        return [dz * (float(g) / n_valid)]
+        p[rows, targets] -= 1.0
+        return [p * (float(g) / m)]
 
     return _make("cross_entropy", out, (logits,), backward_fn)
 

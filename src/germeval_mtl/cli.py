@@ -346,6 +346,9 @@ def _align_predictions(gold_ids, pred_ids, preds):
 
 
 def cmd_evaluate(args) -> int:
+    for i, path in enumerate(args.pred):  # a file given twice would vote twice in the ensemble
+        if Path(path).resolve() in {Path(p).resolve() for p in args.pred[:i]}:
+            raise ConfigError(f"--pred {path} is given more than once")
     out = _output_path(args.out) if args.out else None
     # gold may be labels-only (comment_id + label columns) or a full dataset file
     gold_ids, gold_labels = dt.load_predictions(args.gold)

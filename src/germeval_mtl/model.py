@@ -153,11 +153,8 @@ class ModelParams:
         return {**counts, "total": self.tensors.data.size}
 
     def load_arrays(self, arrays: dict) -> None:
+        """Copy each array into the tensor of that name, whose shape it must have (unchecked)."""
         for name, arr in arrays.items():
-            if name not in self.tensors:
-                raise ValueError(f"unknown parameter {name!r}")
-            if self.tensors[name].data.shape != arr.shape:
-                raise ValueError(f"shape mismatch for {name!r}")
             self.tensors[name].data[...] = arr
 
 
@@ -351,9 +348,18 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
     if set(config) != expected:
         raise ValueError(f"checkpoint config keys: unknown {sorted(set(config) - expected)},"
                          f" missing {sorted(expected - set(config))}")
-    params = ModelParams(EncoderConfig(**config), meta["environment"], meta["task"], meta["has_mlm_head"])
-    missing = set(params.tensors) - set(arrays)
-    if missing:
-        raise ValueError(f"checkpoint is missing parameters: {sorted(missing)}")
+    config = EncoderConfig(**config)
+    head_tasks = (meta["task"],) if meta["environment"] == STL else TASKS
+    layout = {n: shape for group in _layout(config, head_tasks, meta["has_mlm_head"]).values() for n, shape, _ in group}
+    stored = {name: arr.shape for name, arr in arrays.items()}
+    if stored != layout:  # compared before the arena exists: a config alone may imply any size
+        wrong = {"missing": layout.keys() - stored.keys(), "unknown": stored.keys() - layout.keys(),
+                 "mis-shaped": {n for n in layout.keys() & stored.keys() if layout[n] != stored[n]}}
+        found = "; ".join(f"{len(names)} {kind} {sorted(names)[:3]}" for kind, names in wrong.items() if names)
+        raise ValueError(f"checkpoint parameters do not fit its config: {found}")
+    params = ModelParams(config, meta["environment"], meta["task"], meta["has_mlm_head"])
     params.load_arrays(arrays)
+    if not np.isfinite(params.tensors.data).all():
+        bad = next(name for name, t in params.tensors.items() if not np.isfinite(t.data).all())
+        raise ValueError(f"checkpoint parameter {bad!r} holds non-finite values")
     return params, meta

@@ -65,9 +65,9 @@ def mlm_loss(logits: ad.Tensor, labels) -> ad.Tensor:
     """Mean cross-entropy over the positions selected for masking.
 
     ``labels`` holds original token ids at selected positions and
-    IGNORE_INDEX elsewhere. A batch with nothing selected yields a
-    constant 0 loss (and a warning) instead of an error, so tiny corpora
-    cannot derail the LM stage.
+    IGNORE_INDEX elsewhere; only those rows of the logits are scored. A
+    batch with nothing selected yields a constant 0 loss (and a warning)
+    instead of an error, so tiny corpora cannot derail the LM stage.
     """
     if logits.ndim != 3:
         raise ValueError(f"mlm logits must be (batch, seq, vocab), got {logits.shape}")
@@ -75,8 +75,8 @@ def mlm_loss(logits: ad.Tensor, labels) -> ad.Tensor:
     batch, seq, vocab = logits.shape
     if labels.size != batch * seq:
         raise ValueError(f"got {labels.size} labels for {batch * seq} positions")
-    if (labels == IGNORE_INDEX).all():
+    rows = np.flatnonzero(labels != IGNORE_INDEX)
+    if rows.size == 0:
         logger.warning("masked-LM batch has no selected positions; loss is 0")
         return ad.Tensor(0.0)
-    flat = ad.reshape(logits, (batch * seq, vocab))
-    return ad.cross_entropy(flat, labels, ignore_index=IGNORE_INDEX)
+    return ad.cross_entropy(ad.reshape(logits, (batch * seq, vocab))[rows], labels[rows])

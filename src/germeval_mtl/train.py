@@ -286,6 +286,12 @@ def train_one(params: md.ModelParams, train_ds: dt.EncodedDataset, val_ds: dt.En
     return params, record
 
 
+def _masked_batch(vocab: tok.Vocab, encoded: list, rows, rng_prefix: tuple) -> tuple:
+    """(ids, attention mask, MLM labels) of ``encoded[rows]``, row ``j`` masked with seed ``(*rng_prefix, j)``."""
+    masked, labels = zip(*(tok.mask_for_mlm(vocab, encoded[j], rng_seed=(*rng_prefix, int(j))) for j in rows))
+    return *md.stack_batch(list(masked)), np.asarray(labels)
+
+
 def lm_finetune(params: md.ModelParams, corpus: list, vocab: tok.Vocab, cfg: TrainConfig,
                 seed: int, max_len: int) -> md.ModelParams:
     """Masked-LM training of the encoder; classification heads stay untouched.
@@ -302,10 +308,8 @@ def lm_finetune(params: md.ModelParams, corpus: list, vocab: tok.Vocab, cfg: Tra
     dropout_rng = np.random.default_rng((seed, 21))
 
     def batch_loss(epoch: int, idx: np.ndarray) -> ad.Tensor:
-        masked, labels = zip(*(tok.mask_for_mlm(vocab, encoded[j], rng_seed=(seed, 22, epoch, int(j))) for j in idx))
-        ids, attn = md.stack_batch(list(masked))
-        logits = md.mlm_forward(params, ids, attn, train_mode=True, rng=dropout_rng)
-        return obj.mlm_loss(logits, np.asarray(labels))
+        ids, attn, labels = _masked_batch(vocab, encoded, idx, (seed, 22, epoch))
+        return obj.mlm_loss(md.mlm_forward(params, ids, attn, train_mode=True, rng=dropout_rng), labels)
 
     _optimize(params.group("encoder", "mlm"), len(encoded), cfg, np.random.default_rng((seed, 20)), batch_loss)
     return params
@@ -314,18 +318,13 @@ def lm_finetune(params: md.ModelParams, corpus: list, vocab: tok.Vocab, cfg: Tra
 def mlm_top1_accuracy(params: md.ModelParams, corpus: list, vocab: tok.Vocab, max_len: int,
                       seed: int = 0) -> float:
     """Fraction of masked positions whose top-1 prediction is the original id."""
+    encoded = [tok.encode(vocab, text, max_len) for text in corpus]
     hits = total = 0
     with ad.no_grad():
-        for j, text in enumerate(corpus):
-            enc = tok.encode(vocab, text, max_len)
-            masked, labels = tok.mask_for_mlm(vocab, enc, rng_seed=(seed, 23, j))
-            labels = np.asarray(labels)
-            if (labels == tok.IGNORE_INDEX).all():
-                continue
-            ids, attn = md.stack_batch([masked])
-            logits = md.mlm_forward(params, ids, attn).data[0]
-            picks = logits.argmax(axis=-1)
+        for start in range(0, len(encoded), 8):  # (B, L, V) logits no larger than a default-size LM step's
+            ids, attn, labels = _masked_batch(vocab, encoded, range(len(encoded))[start:start + 8], (seed, 23))
             chosen = labels != tok.IGNORE_INDEX
+            picks = md.mlm_forward(params, ids, attn).data.argmax(axis=-1)
             hits += int((picks[chosen] == labels[chosen]).sum())
             total += int(chosen.sum())
     return hits / total if total else 0.0

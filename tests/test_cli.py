@@ -356,6 +356,7 @@ def test_predict_bad_checkpoint_exits_2(workspace, trained_run, tmp_path, capsys
     "string-n-layers": lambda meta: meta["config"].update(n_layers="2") or meta,
     "null-config": lambda meta: meta.update(config=None) or meta,
     "list-metadata": lambda meta: [meta],
+    "huge-max-seq-len": lambda meta: meta["config"].update(max_seq_len=10**13) or meta,  # no arena allocated
 }.items(), ids=lambda item: item[0])
 def test_predict_malformed_checkpoint_metadata_exits_2(workspace, trained_run, tmp_path, capsys, damage):
     _, data_path, _, vocab_path = workspace
@@ -367,6 +368,32 @@ def test_predict_malformed_checkpoint_metadata_exits_2(workspace, trained_run, t
     rc = cli.main(["predict", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
                    "--data", str(data_path), "--out", str(out)])
     _one_line_error(capsys, rc, 2, f"data error: {ckpt}")
+    assert not out.exists()
+
+
+def test_predict_non_finite_checkpoint_exits_2(workspace, trained_run, tmp_path, capsys):
+    _, data_path, _, vocab_path = workspace
+    with np.load(trained_run / "ckpt-seed1.npz") as bundle:
+        arrays = {k: bundle[k] for k in bundle.files}
+    arrays["param/head.toxic.W"][1, 0] = np.nan
+    ckpt, out = tmp_path / "nan.npz", tmp_path / "preds.csv"
+    np.savez(ckpt, **arrays)
+    rc = cli.main(["predict", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
+                   "--data", str(data_path), "--out", str(out)])
+    _one_line_error(capsys, rc, 2, "'head.toxic.W' holds non-finite values")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("twice", [
+    ["preds-seed1.csv"] * 3,
+    ["preds-seed1.csv", "preds-seed2.csv", "./preds-seed1.csv"],
+], ids=["same-string", "same-file"])
+def test_evaluate_refuses_a_pred_file_given_twice(trained_run, tmp_path, capsys, monkeypatch, twice):
+    monkeypatch.chdir(trained_run)
+    monkeypatch.setattr(dt, "load_predictions", lambda path: pytest.fail(f"read {path}"))
+    out = tmp_path / "metrics.csv"
+    argv = ["evaluate", "--gold", "val-gold.csv", *(arg for p in twice for arg in ("--pred", p)), "--out", str(out)]
+    _one_line_error(capsys, cli.main(argv), 1, f"--pred {twice[-1]} is given more than once")
     assert not out.exists()
 
 

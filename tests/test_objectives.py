@@ -163,3 +163,34 @@ def test_mlm_loss_shape_validation():
         obj.mlm_loss(ad.Tensor(np.zeros((3, 5))), [0, 0, 0])
     with pytest.raises(ValueError, match="labels"):
         obj.mlm_loss(ad.Tensor(np.zeros((1, 3, 5))), [0, 0])
+
+
+def reference_mlm_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Loss and logits grad that score every position, then average over the labelled ones."""
+    z = logits.reshape(-1, logits.shape[-1])
+    targets = labels.ravel()
+    labelled = targets != IGNORE_INDEX
+    rows, n = np.arange(len(targets))[labelled], int(labelled.sum())
+    zmax = z.max(axis=-1, keepdims=True)
+    lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=-1))
+    loss = (lse[labelled] - z[rows, targets[labelled]]).sum() / n
+    p = np.exp(z - zmax)
+    p /= p.sum(axis=-1, keepdims=True)
+    p[rows, targets[labelled]] -= 1.0
+    p[~labelled] = 0.0
+    return loss, (p * (1.0 / n)).reshape(logits.shape)
+
+
+@pytest.mark.parametrize("shape, n_labelled", [((2, 5, 7), 3), ((3, 8, 11), 1), ((1, 6, 4), 6)])
+def test_mlm_loss_scores_only_labelled_rows_and_equals_the_full_reference(shape, n_labelled):
+    rng = np.random.default_rng(sum(shape))
+    logits = ad.parameter(3.0 * rng.standard_normal(shape))
+    labels = np.full(shape[:2], IGNORE_INDEX)
+    positions = rng.choice(shape[0] * shape[1], size=n_labelled, replace=False)
+    labels.flat[positions] = rng.integers(0, shape[2], size=n_labelled)
+    loss = obj.mlm_loss(logits, labels)
+    assert loss.parents[0].shape == (n_labelled, shape[2])  # only the labelled rows reach the loss
+    loss.backward()
+    want_loss, want_grad = reference_mlm_loss(logits.data, labels)
+    assert loss.item() == want_loss
+    assert np.array_equal(logits.grad, want_grad)

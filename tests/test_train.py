@@ -306,6 +306,38 @@ def test_lm_finetune_leaves_heads_untouched_and_learns():
         assert params.tensors[name].data.tobytes() == arr.tobytes(), name
 
 
+def per_text_mlm_top1_accuracy(params, corpus, vocab, max_len, seed):
+    """Reference: one text per forward pass, texts with nothing masked skipped."""
+    hits = total = 0
+    with ad.no_grad():
+        for j, text in enumerate(corpus):
+            masked, labels = tok.mask_for_mlm(vocab, tok.encode(vocab, text, max_len), rng_seed=(seed, 23, j))
+            labels = np.asarray(labels)
+            if (labels == tok.IGNORE_INDEX).all():
+                continue
+            ids, attn = md.stack_batch([masked])
+            picks = md.mlm_forward(params, ids, attn).data[0].argmax(axis=-1)
+            chosen = labels != tok.IGNORE_INDEX
+            hits += int((picks[chosen] == labels[chosen]).sum())
+            total += int(chosen.sum())
+    return hits / total if total else 0.0
+
+
+@pytest.mark.parametrize("n_texts, max_len, n_layers", [(13, 24, 1), (5, 16, 2)])
+def test_mlm_top1_accuracy_scores_batches_of_8_and_equals_the_per_text_loop(monkeypatch, n_texts, max_len, n_layers):
+    examples, vocab, _ = make_setup(n=n_texts, seed=n_texts)
+    corpus = ["", *(ex.text for ex in examples)]  # the empty text has nothing to mask
+    enc = md.EncoderConfig(vocab_size=len(vocab), **{**TINY, "max_seq_len": max_len, "n_layers": n_layers})
+    params = md.init_model(enc, md.MTL, with_mlm_head=True, seed=n_layers)
+    cfg = tr.TrainConfig(learning_rate=5e-3, num_epochs=3, batch_size=4, seeds=(1,))
+    tr.lm_finetune(params, corpus, vocab, cfg, seed=1, max_len=max_len)
+    want = per_text_mlm_top1_accuracy(params, corpus, vocab, max_len, seed=4)
+    rows, forward = [], md.mlm_forward
+    monkeypatch.setattr(md, "mlm_forward", lambda p, ids, attn: rows.append(len(ids)) or forward(p, ids, attn))
+    assert tr.mlm_top1_accuracy(params, corpus, vocab, max_len, seed=4) == want > 0.0
+    assert rows == [len(corpus[i:i + 8]) for i in range(0, len(corpus), 8)]
+
+
 def test_lm_finetune_guards():
     corpus = ["ein satz"]
     vocab = tok.build_vocab(corpus, max_size=50)
