@@ -77,7 +77,11 @@ def parse_config_file(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    for line_num, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    for line_num, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if line:
             key, value = _parse_pair(line, f"{path}:{line_num}")
@@ -181,6 +185,12 @@ def _prepare(args):
         enc_cfg = md.EncoderConfig(vocab_size=len(vocab), **{k: values[k] for k in _ENCODER_DEFAULTS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    elements = md.layout_size(enc_cfg, dt.TASKS, True)[1]  # the largest model a training command builds
+    try:
+        np.zeros(elements)  # lazily mapped: a size that fits costs nothing
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"the settings imply a model of {elements} parameters,"
+                          f" which cannot be allocated: {exc}") from exc
     resolved = {**dataclasses.asdict(train_cfg), **dataclasses.asdict(enc_cfg),
                 **{k: values[k] for k in _EXTRA_DEFAULTS}}
     resolved["max_len"] = _encoded_length(values["max_len"] or None, enc_cfg.max_seq_len, "max_len", "max_seq_len")

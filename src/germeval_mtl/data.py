@@ -53,6 +53,17 @@ class DatasetSummary:
         return self.counts.get((toxic, engaging, fact_claiming), 0)
 
 
+def _csv_rows(path: Path, handle):
+    """(line number, row) of each record; text that is not UTF-8 and a field
+    over ``csv``'s size limit become a DataError naming ``path``."""
+    reader = csv.reader(handle)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
 def _read(path: str | Path, text: bool, labels: bool | None) -> tuple[list, list, dict]:
     """The one reader behind every loader: (ids, texts, task -> 0/1 labels).
 
@@ -65,8 +76,8 @@ def _read(path: str | Path, text: bool, labels: bool | None) -> tuple[list, list
     if not path.exists():
         raise DataError(f"{path}: file not found")
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+        rows = _csv_rows(path, handle)
+        header = next(rows, (0, None))[1]
         if header is None:
             raise DataError(f"{path}: empty file, expected a header row")
         col = {name: i for i, name in enumerate(header)}
@@ -82,8 +93,7 @@ def _read(path: str | Path, text: bool, labels: bool | None) -> tuple[list, list
         if labels is None and not wanted:
             raise DataError(f"{path}: header has none of the label columns {list(task_of)}")
         ids, texts, values, first_line = [], [], {t: [] for t in wanted}, {}
-        for row in reader:
-            line = reader.line_num
+        for line, row in rows:
             if not row:
                 continue
             if len(row) != len(header):

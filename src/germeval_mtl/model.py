@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +95,18 @@ def _layout(config: EncoderConfig, head_tasks: tuple, has_mlm_head: bool) -> dic
              for entry in ((f"head.{task}.W", (d, 2), "normal"), (f"head.{task}.b", (2,), 0.0))]
     mlm = [("mlm.bias", (v,), 0.0)] if has_mlm_head else []  # output weights are tied to tok_emb
     return {"heads": heads, "encoder": encoder, "mlm": mlm}
+
+
+def layout_size(config: EncoderConfig, head_tasks: tuple, has_mlm_head: bool) -> tuple[int, int]:
+    """(arrays, elements) of the layout, without walking its layers: every layer adds the same block."""
+    def count(n_layers: int) -> tuple[int, int]:
+        groups = _layout(replace(config, n_layers=n_layers), head_tasks, has_mlm_head).values()
+        shapes = [shape for group in groups for _, shape, _ in group]
+        return len(shapes), sum(math.prod(shape) for shape in shapes)
+
+    (arrays, elements), (arrays_1, elements_1) = count(0), count(1)
+    n = config.n_layers
+    return arrays + n * (arrays_1 - arrays), elements + n * (elements_1 - elements)
 
 
 class ModelParams:
@@ -350,6 +362,11 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
                          f" missing {sorted(expected - set(config))}")
     config = EncoderConfig(**config)
     head_tasks = (meta["task"],) if meta["environment"] == STL else TASKS
+    implied = layout_size(config, head_tasks, meta["has_mlm_head"])[0]
+    gap = implied - len(arrays)
+    if gap:  # counted first: listing the layout walks every layer the config claims
+        raise ValueError(f"checkpoint stores {len(arrays)} parameter arrays, its config implies {implied}:"
+                         f" at least {abs(gap)} {'missing' if gap > 0 else 'unknown'}")
     layout = {n: shape for group in _layout(config, head_tasks, meta["has_mlm_head"]).values() for n, shape, _ in group}
     stored = {name: arr.shape for name, arr in arrays.items()}
     if stored != layout:  # compared before the arena exists: a config alone may imply any size

@@ -135,12 +135,6 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
     return cfg.learning_rate * (total_steps - step) / max(total_steps - warmup, 1)
 
 
-def _micro_batches(n: int, batch_size: int, rng: np.random.Generator):
-    perm = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield perm[start : start + batch_size]
-
-
 def _steps_per_epoch(n: int, cfg: TrainConfig) -> int:
     micro = math.ceil(n / cfg.batch_size)
     return math.ceil(micro / cfg.gradient_accumulation_steps)
@@ -199,37 +193,32 @@ def evaluate_model(params: md.ModelParams, ds: dt.EncodedDataset, batch_size: in
 
 def _optimize(tensors: md.ParamGroup, n: int, cfg: TrainConfig, shuffle_rng: np.random.Generator,
               batch_loss, after_step=lambda opt_step: False) -> int:
-    """Shuffled micro-batches, accumulated gradients, one Adam step per window.
+    """Shuffled micro-batches in windows of ``gradient_accumulation_steps``, one Adam step per window.
 
     ``batch_loss(epoch, idx)`` gives the loss of one micro-batch, and
     ``after_step(opt_step)`` runs after every full-window step; it returns
-    True to stop training at once. A partial window at the end of an epoch
-    is flushed as one more step without ``after_step``. Returns the number
-    of optimizer steps taken.
+    True to stop training at once. An epoch's last window may be short;
+    its step skips ``after_step``. Returns the number of optimizer steps taken.
     """
     state = AdamState()
     total_steps = cfg.num_epochs * _steps_per_epoch(n, cfg)
-    accum = cfg.gradient_accumulation_steps
+    size, accum = cfg.batch_size, cfg.gradient_accumulation_steps
     opt_step = 0
     for epoch in range(cfg.num_epochs):
-        pending = 0
-        for idx in _micro_batches(n, cfg.batch_size, shuffle_rng):
-            loss = batch_loss(epoch, idx)
-            if not np.isfinite(loss.data):
-                raise NumericError(f"non-finite training loss at step {opt_step}")
-            if loss.requires_grad:  # a masked-LM batch with nothing masked has no graph
-                scaled = loss / accum if accum > 1 else loss
-                scaled.backward()
-            pending += 1
-            if pending == accum:
-                adam_step(tensors, state, lr_at(opt_step, total_steps, cfg), cfg)
-                opt_step += 1
-                pending = 0
-                if after_step(opt_step):
-                    return opt_step
-        if pending:
+        perm = shuffle_rng.permutation(n)
+        micro = [perm[start:start + size] for start in range(0, n, size)]
+        for first in range(0, len(micro), accum):
+            window = micro[first:first + accum]
+            for idx in window:
+                loss = batch_loss(epoch, idx)
+                if not np.isfinite(loss.data):
+                    raise NumericError(f"non-finite training loss at step {opt_step}")
+                if loss.requires_grad:  # a masked-LM batch with nothing masked has no graph
+                    (loss / accum if accum > 1 else loss).backward()
             adam_step(tensors, state, lr_at(opt_step, total_steps, cfg), cfg)
             opt_step += 1
+            if len(window) == accum and after_step(opt_step):
+                return opt_step
     return opt_step
 
 
@@ -237,10 +226,13 @@ def train_one(params: md.ModelParams, train_ds: dt.EncodedDataset, val_ds: dt.En
               cfg: TrainConfig, seed: int, val_metrics_fn=None) -> tuple[md.ModelParams, RunRecord]:
     """Train until the epoch budget or early stopping, keep the best checkpoint.
 
-    Validation runs after every ``eval_every_batches`` optimizer steps (and
-    once more at the end); ``early_stop_patience_evals`` evaluations without
-    a strictly better validation loss halt training. ``val_metrics_fn`` may
-    replace the real validation pass (test hook).
+    Validation runs after each optimizer step whose number is a multiple of
+    ``eval_every_batches`` and that closed a full accumulation window
+    (periodic evaluations follow full-window steps only), and once more at
+    the end unless the last step was just evaluated. Training halts after
+    ``early_stop_patience_evals`` evaluations without a strictly better
+    validation loss. ``val_metrics_fn`` may replace the real validation
+    pass (test hook).
     """
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ValueError("train and validation sets must be nonempty")
@@ -279,7 +271,7 @@ def train_one(params: md.ModelParams, train_ds: dt.EncodedDataset, val_ds: dt.En
         return record.stopped_early
 
     opt_step = _optimize(params.group("heads", "encoder"), len(train_ds), cfg, shuffle_rng, batch_loss, after_step)
-    if not record.stopped_early and (not record.eval_history or record.eval_history[-1][0] != opt_step):
+    if not record.eval_history or record.eval_history[-1][0] != opt_step:
         run_eval(opt_step)
 
     params.tensors.data[:] = best_data  # the first evaluation always improves on inf

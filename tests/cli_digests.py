@@ -4,7 +4,8 @@ Usage: PYTHONPATH=src python tests/cli_digests.py OUTDIR
 
 Inside OUTDIR, which must be empty or absent, it writes a generated corpus
 and a small config, then runs build-vocab, pretrain-lm, train --lm in both
-environments, predict (one MTL and three STL checkpoints), evaluate and
+environments, two train runs with short accumulation windows (one of them
+stopping early), predict (one MTL and three STL checkpoints), evaluate and
 report in process. It prints each command with its stdout and exit code,
 then one ``sha256 path`` line for every file under OUTDIR. Paths are
 relative to OUTDIR, so two source trees that print the same lines wrote the
@@ -47,6 +48,11 @@ COMMANDS = [
     ["pretrain-lm", *TRAIN, "--out", "lm.npz"],
     ["train", *TRAIN, "--env", "stl", "--lm", "--out", "stl-lm"],
     ["train", *TRAIN, "--env", "mtl", "--lm", "--out", "mtl-lm"],
+    # 48 training rows make 6 micro-batches: each epoch has a window of 4 and a short window of 2
+    ["train", *TRAIN, "--env", "mtl", "--lm", "--epochs", "3", "--set", "gradient_accumulation_steps=4",
+     "--set", "eval_every_batches=1", "--out", "mtl-lm-accum"],
+    ["train", *TRAIN, "--env", "stl", "--epochs", "4", "--set", "gradient_accumulation_steps=4",
+     "--set", "eval_every_batches=1", "--set", "early_stop_patience_evals=1", "--out", "stl-accum-stop"],
     ["predict", "--checkpoint", "mtl-lm/ckpt-seed1.npz", *PREDICT, "--out", "predict-mtl.csv"],
     ["predict", *(arg for task in dt.TASKS for arg in ("--checkpoint", f"stl-lm/ckpt-seed2-{task}.npz")),
      *PREDICT, "--out", "predict-stl.csv"],

@@ -9,6 +9,7 @@ import pytest
 
 from germeval_mtl import cli
 from germeval_mtl import data as dt
+from germeval_mtl import model as md
 from germeval_mtl import tokenizer as tok
 from germeval_mtl import train as tr
 
@@ -381,6 +382,67 @@ def test_predict_non_finite_checkpoint_exits_2(workspace, trained_run, tmp_path,
     rc = cli.main(["predict", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
                    "--data", str(data_path), "--out", str(out)])
     _one_line_error(capsys, rc, 2, "'head.toxic.W' holds non-finite values")
+    assert not out.exists()
+
+
+def test_predict_refuses_a_checkpoint_claiming_more_layers_than_it_stores(workspace, trained_run, tmp_path,
+                                                                           capsys, monkeypatch):
+    _, data_path, _, vocab_path = workspace
+    with np.load(trained_run / "ckpt-seed1.npz") as bundle:
+        arrays = {k: bundle[k] for k in bundle.files}
+    meta = json.loads(str(arrays["__meta__"]))
+    stored_layers, meta["config"]["n_layers"] = meta["config"]["n_layers"], 10**13
+    arrays["__meta__"] = np.asarray(json.dumps(meta))
+    ckpt, out = tmp_path / "deep.npz", tmp_path / "preds.csv"
+    np.savez(ckpt, **arrays)
+    layout = md._layout
+
+    def bounded_layout(config, *rest):  # listing 10**13 layers would never finish
+        assert config.n_layers <= stored_layers, f"_layout asked for {config.n_layers} layers"
+        return layout(config, *rest)
+
+    monkeypatch.setattr(md, "_layout", bounded_layout)
+    rc = cli.main(["predict", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
+                   "--data", str(data_path), "--out", str(out)])
+    _one_line_error(capsys, rc, 2, f"stores {len(arrays) - 1} parameter arrays, its config implies 160000000000010")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["latin1-build-vocab", "latin1-predict", "huge-field-build-vocab", "latin1-config"])
+def test_undecodable_or_oversized_input_exits_with_one_line(workspace, trained_run, tmp_path, capsys, case):
+    _, data_path, config_path, vocab_path = workspace
+    latin, huge, latin_config = tmp_path / "latin1.csv", tmp_path / "huge.csv", tmp_path / "latin1.txt"
+    dt.write_dataset(latin, [dt.Example("c1", "café", 0, 1, 0)])
+    latin.write_bytes(latin.read_text(encoding="utf-8").encode("latin-1"))
+    dt.write_dataset(huge, [dt.Example("c1", "x" * 200_000, 0, 1, 0)])  # over csv's default field limit
+    latin_config.write_bytes((config_path.read_text(encoding="utf-8") + "# café\n").encode("latin-1"))
+    out = tmp_path / "out"
+    argv, code, needle = {
+        "latin1-build-vocab": (["build-vocab", "--data", str(latin)], 2, f"data error: {latin}: 'utf-8' codec"),
+        "latin1-predict": (["predict", "--checkpoint", str(trained_run / "ckpt-seed1.npz"), "--vocab",
+                            str(vocab_path), "--data", str(latin)], 2, f"data error: {latin}: 'utf-8' codec"),
+        "huge-field-build-vocab": (["build-vocab", "--data", str(huge)], 2,
+                                   f"data error: {huge}: field larger than field limit"),
+        "latin1-config": (["train", "--config", str(latin_config), "--data", str(data_path), "--vocab",
+                           str(vocab_path)], 1, f"config error: {latin_config}: not UTF-8 text"),
+    }[case]
+    _one_line_error(capsys, cli.main([*argv, "--out", str(out)]), code, needle)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "train --set max_seq_len=10000000000000 --set max_len=0",
+    "pretrain-lm --set d_model=4000000000000 --set n_heads=1",
+    "train --set n_layers=10000000000000",
+])
+def test_a_model_no_machine_can_hold_exits_1_before_reading_data(workspace, tmp_path, capsys, monkeypatch, argv):
+    _, data_path, config_path, vocab_path = workspace
+    monkeypatch.setattr(dt, "load_dataset", lambda path: pytest.fail(f"read {path}"))
+    command, *extra = argv.split()
+    out = tmp_path / ("lm.npz" if command == "pretrain-lm" else "run")
+    rc = cli.main([command, "--config", str(config_path), *extra, "--data", str(data_path),
+                   "--vocab", str(vocab_path), "--out", str(out)])
+    _one_line_error(capsys, rc, 1, "parameters, which cannot be allocated")
     assert not out.exists()
 
 

@@ -2,7 +2,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from germeval_mtl import cli
 from germeval_mtl import data as dt
 from germeval_mtl import tokenizer as tok
 
@@ -245,3 +248,33 @@ def test_every_loader_error_names_the_path(tmp_path, loader):
         with pytest.raises(dt.DataError) as info:
             getattr(dt, loader)(path)
         assert str(info.value).startswith(f"{path}: {where}"), str(info.value)
+
+
+_CSV_BYTES = st.one_of(
+    st.binary(max_size=120),
+    st.binary(max_size=120).map(lambda tail: HEADER.encode() + b"\n" + tail),
+    st.text(st.sampled_from(list(',"\n\r\x0001 xé\ufeff')), max_size=60)
+    .map(lambda rows: f"{HEADER}\n{rows}".encode()),
+)
+_CONFIG_VALUES = st.text(st.sampled_from(list("0123456789.,-e xyé#=")), max_size=8)
+_CONFIG_BYTES = st.lists(st.tuples(st.sampled_from(sorted(cli._DEFAULTS)), _CONFIG_VALUES), max_size=4).map(
+    lambda pairs: "".join(f"{key} = {value}\n" for key, value in pairs).encode("latin-1"))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(f"{HEADER}\nc1,café,0,1,0\n".encode("latin-1"))
+@example(f"{HEADER}\nc1,{'x' * 200_000},0,1,0\n".encode())  # over csv's default field limit
+@example("# café\nnum_epochs = 1\n".encode("latin-1"))
+@given(content=st.one_of(_CSV_BYTES, _CONFIG_BYTES))
+def test_readers_return_or_raise_their_one_error_on_any_bytes(tmp_path, content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    for loader in (dt.load_dataset, dt.load_texts, dt.load_predictions):
+        try:
+            loader(path)
+        except dt.DataError as exc:
+            assert str(exc).startswith(f"{path}: ")
+    try:
+        cli.parse_config_file(path)
+    except cli.ConfigError:
+        pass

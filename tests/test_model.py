@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -418,3 +419,11 @@ def test_end_to_end_multitask_gradients():
             assert err <= 1e-4, (name, idx, analytic, numeric)
             checked += 1
     assert checked >= 50
+
+
+@pytest.mark.parametrize("n_layers", [0, 1, 3])
+def test_layout_size_counts_the_arena_without_walking_layers(n_layers):
+    config = dataclasses.replace(TINY, n_layers=n_layers)
+    for environment, task, mlm in ((md.STL, "toxic", False), (md.MTL, None, False), (md.MTL, None, True)):
+        params = md.ModelParams(config, environment, task, mlm)
+        assert md.layout_size(config, params.head_tasks, mlm) == (len(params.tensors), params.tensors.data.size)
