@@ -1,6 +1,6 @@
 """Print a digest of everything a fixed synthetic CLI pipeline writes.
 
-Usage: PYTHONPATH=src python tests/cli_digests.py OUTDIR
+Usage: PYTHONPATH=src python tests/cli_digests.py OUTDIR [REFERENCE]
 
 Inside OUTDIR, which must be empty or absent, it writes a generated corpus
 and a small config, then runs build-vocab, pretrain-lm, train --lm in both
@@ -11,6 +11,9 @@ then one ``sha256 path`` line for every file under OUTDIR. Paths are
 relative to OUTDIR, so two source trees that print the same lines wrote the
 same bytes: run it once per tree and diff the outputs.
 
+With REFERENCE it also writes there the JSON digest that
+``test_cli_digest.py`` compares against (see ``digest``).
+
 The exit status is 1 if any command failed. pytest does not collect this file.
 """
 
@@ -19,9 +22,12 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from germeval_mtl import cli
 from germeval_mtl import data as dt
@@ -62,31 +68,76 @@ COMMANDS = [
 ]
 
 
+def run_commands() -> list[tuple[list[str], str, int]]:
+    """Write the corpus and config into the working directory and run ``COMMANDS`` there.
+
+    Returns each command with its stdout and exit code.
+    """
+    dt.write_dataset("data.csv", dt.synth_generate(60, seed=31, spec=dt.SynthSpec(correlation=0.5)))
+    Path("config.txt").write_text(CONFIG, encoding="utf-8")
+    transcript = []
+    for command in COMMANDS:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(command)
+        transcript.append((command, stdout.getvalue(), code))
+    return transcript
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _array_invariants(x: np.ndarray) -> list[float]:
+    """Sum, sum of squares and a seeded projection: stable across BLAS kernels to rounding."""
+    x = x.ravel()
+    return [float(x.sum()), float(x @ x), float(x @ np.random.default_rng(0).standard_normal(x.size))]
+
+
+def digest(root: Path, transcript) -> dict:
+    """Each command's exit code and stdout hash, and every file under ``root`` by its path.
+
+    An ``.npz`` maps to its parsed ``__meta__`` and each array's invariants,
+    a ``.json`` file to its parsed value, any other file to its SHA-256.
+    """
+    files = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        if path.suffix == ".npz":
+            with np.load(path) as bundle:
+                entry = {key: json.loads(str(bundle[key])) if key == "__meta__" else _array_invariants(bundle[key])
+                         for key in bundle.files}
+        elif path.suffix == ".json":
+            entry = json.loads(path.read_text(encoding="utf-8"))
+        else:
+            entry = _sha256(path.read_bytes())
+        files[path.relative_to(root).as_posix()] = entry
+    commands = [{"argv": " ".join(command), "exit": code, "stdout_sha256": _sha256(stdout.encode("utf-8"))}
+                for command, stdout, code in transcript]
+    return {"commands": commands, "files": files}
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
+    if len(argv) not in (1, 2):
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     out = Path(argv[0])
+    reference = Path(argv[1]).resolve() if len(argv) == 2 else None
     if out.exists() and any(out.iterdir()):
         print(f"{out} is not empty", file=sys.stderr)
         return 2
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
-    dt.write_dataset("data.csv", dt.synth_generate(60, seed=31, spec=dt.SynthSpec(correlation=0.5)))
-    Path("config.txt").write_text(CONFIG, encoding="utf-8")
-
-    failed = False
-    for command in COMMANDS:
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = cli.main(command)
+    transcript = run_commands()
+    for command, stdout, code in transcript:
         print("$ germeval-mtl " + " ".join(command))
-        print(stdout.getvalue(), end="")
+        print(stdout, end="")
         print(f"exit {code}")
-        failed |= code != 0
     for path in sorted(p for p in Path(".").rglob("*") if p.is_file()):
-        print(hashlib.sha256(path.read_bytes()).hexdigest(), path.as_posix())
-    return 1 if failed else 0
+        print(_sha256(path.read_bytes()), path.as_posix())
+    if reference is not None:
+        reference.write_text(json.dumps(digest(Path("."), transcript), indent=1, sort_keys=True) + "\n",
+                             encoding="utf-8")
+    return 1 if any(code != 0 for _, _, code in transcript) else 0
 
 
 if __name__ == "__main__":
