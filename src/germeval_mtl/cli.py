@@ -204,9 +204,7 @@ def cmd_pretrain_lm(args) -> int:
     corpus = [ex.text for ex in examples]
     if not corpus:
         raise DataError(f"{args.data}: no rows to pretrain on")
-    seed = args.seed if args.seed is not None else train_cfg.seeds[0]
-    if seed < 0:
-        raise ConfigError(f"--seed must be non-negative, got {seed}")
+    seed = train_cfg.seeds[0]
     params = md.init_model(enc_cfg, md.MTL, with_mlm_head=True, seed=seed)
     tr.lm_finetune(params, corpus, vocab, train_cfg, seed, resolved["max_len"])
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -249,16 +247,13 @@ def cmd_train(args) -> int:
             })
             checkpoints[f"{seed}/{key}"] = name
 
-    for pos, seed in enumerate(result.seeds):
-        path = out_dir / f"preds-seed{seed}.csv"
-        dt.write_predictions(path, result.val_ids, {t: result.per_seed_preds[t][pos] for t in dt.TASKS})
-        _sidecar(path, cfg_hash)
-    ensemble_path = out_dir / "preds-ensemble.csv"
-    dt.write_predictions(ensemble_path, result.val_ids, result.ensemble_preds)
-    _sidecar(ensemble_path, cfg_hash)
-    gold_path = out_dir / "val-gold.csv"
-    dt.write_predictions(gold_path, result.val_ids, result.val_gold)
-    _sidecar(gold_path, cfg_hash)
+    predictions = {f"preds-seed{seed}.csv": {t: result.per_seed_preds[t][pos] for t in dt.TASKS}
+                   for pos, seed in enumerate(result.seeds)}
+    predictions["preds-ensemble.csv"] = result.ensemble_preds
+    for name, labels in {**predictions, "val-gold.csv": result.val_gold}.items():
+        dt.write_predictions(out_dir / name, result.val_ids, labels)
+        _sidecar(out_dir / name, cfg_hash)
+    metrics = result.metrics(resolved["averaging"])
 
     manifest = {
         "format_version": 1,
@@ -269,7 +264,7 @@ def cmd_train(args) -> int:
         "vocab_hash": vocab_hash,
         "seeds": list(result.seeds),
         "checkpoints": checkpoints,
-        "prediction_files": [f"preds-seed{s}.csv" for s in result.seeds] + ["preds-ensemble.csv"],
+        "prediction_files": list(predictions),
         "eval_history_f1_averaging": "macro",
         "eval_history": {
             f"{seed}/{key}": {
@@ -280,14 +275,11 @@ def cmd_train(args) -> int:
             for seed, by_key in result.records.items()
             for key, record in by_key.items()
         },
-        "ensemble_val_metrics": {
-            task: dataclasses.asdict(metric)
-            for task, metric in result.metrics(resolved["averaging"]).items()
-        },
+        "ensemble_val_metrics": {task: dataclasses.asdict(metric) for task, metric in metrics.items()},
     }
     _write_json(out_dir / "manifest.json", manifest)
     print(f"experiment {result.environment} complete: {len(checkpoints)} checkpoints in {out_dir}")
-    for task, metric in result.metrics(resolved["averaging"]).items():
+    for task, metric in metrics.items():
         print(f"  val {task}: P={metric.precision:.4f} R={metric.recall:.4f} F1={metric.f1:.4f}"
               f" ({metric.averaging})")
     return EXIT_OK
@@ -484,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True, help="checkpoint path (.npz)")
-    p.add_argument("--seed", type=int, help="defaults to the first configured seed")
     p.set_defaults(func=cmd_pretrain_lm)
 
     p = sub.add_parser("train", help="run the configured experiment over all seeds")
@@ -527,9 +518,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "verbose", False):
             logging.basicConfig(level=logging.INFO)
-        return args.func(args)
+        with np.errstate(all="ignore"):  # a blow-up ends in the one NumericError line, not warnings first
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # the arena fits, but a batch's activations do not
+        print(f"config error: the settings need more memory than can be allocated: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DataError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"data error: {exc}", file=sys.stderr)

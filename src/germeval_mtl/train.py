@@ -231,8 +231,9 @@ def train_one(params: md.ModelParams, train_ds: dt.EncodedDataset, val_ds: dt.En
     (periodic evaluations follow full-window steps only), and once more at
     the end unless the last step was just evaluated. Training halts after
     ``early_stop_patience_evals`` evaluations without a strictly better
-    validation loss. ``val_metrics_fn`` may replace the real validation
-    pass (test hook).
+    validation loss. ``record.stopped_early`` says whether that cut the
+    epoch budget short; patience exhausted at the last step is not an early
+    stop. ``val_metrics_fn`` may replace the real validation pass (test hook).
     """
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ValueError("train and validation sets must be nonempty")
@@ -246,7 +247,7 @@ def train_one(params: md.ModelParams, train_ds: dt.EncodedDataset, val_ds: dt.En
     dropout_rng = np.random.default_rng((seed, 11))
     best_loss, best_data, bad_evals = math.inf, None, 0
 
-    def run_eval(opt_step: int) -> None:
+    def run_eval(opt_step: int) -> bool:  # True once patience is exhausted
         nonlocal best_loss, best_data, bad_evals
         val_loss, f1s = evaluate(params, opt_step)
         if not math.isfinite(val_loss):
@@ -259,20 +260,19 @@ def train_one(params: md.ModelParams, train_ds: dt.EncodedDataset, val_ds: dt.En
             bad_evals = 0
         else:
             bad_evals += 1
-            record.stopped_early = bad_evals >= cfg.early_stop_patience_evals
+        return bad_evals >= cfg.early_stop_patience_evals
 
     def batch_loss(epoch: int, idx: np.ndarray) -> ad.Tensor:
         logits = _head_logits(params, train_ds.ids[idx], train_ds.attention_mask[idx], True, dropout_rng)
         return _objective(params, logits, train_ds.labels, idx)
 
     def after_step(opt_step: int) -> bool:
-        if opt_step % cfg.eval_every_batches == 0:
-            run_eval(opt_step)
-        return record.stopped_early
+        return opt_step % cfg.eval_every_batches == 0 and run_eval(opt_step)
 
     opt_step = _optimize(params.group("heads", "encoder"), len(train_ds), cfg, shuffle_rng, batch_loss, after_step)
     if not record.eval_history or record.eval_history[-1][0] != opt_step:
         run_eval(opt_step)
+    record.stopped_early = opt_step < cfg.num_epochs * _steps_per_epoch(len(train_ds), cfg)
 
     params.tensors.data[:] = best_data  # the first evaluation always improves on inf
     return params, record

@@ -96,7 +96,7 @@ def test_missing_data_exits_2(workspace, tmp_path):
     assert rc == 2
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a blow-up prints one line, no warnings
 def test_numeric_blowup_exits_3(workspace, tmp_path, capsys):
     root, data_path, config_path, vocab_path = workspace
     rc = cli.main([
@@ -310,6 +310,35 @@ def test_pretrain_lm_standalone(workspace, tmp_path, capsys):
     rc = cli.main(["predict", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
                    "--data", str(data_path), "--out", str(out)])
     _one_line_error(capsys, rc, 2, "masked-LM stage checkpoint")
+    assert not out.exists()
+
+
+def test_pretrain_lm_seed_is_the_hashed_seeds_setting(workspace, tmp_path):
+    _, data_path, config_path, vocab_path = workspace
+    metas = []
+    for flag in ("--seed", "--seeds"):  # --seed abbreviates --seeds
+        ckpt = tmp_path / f"lm{flag}.npz"
+        rc = cli.main(["pretrain-lm", "--config", str(config_path), "--data", str(data_path),
+                       "--vocab", str(vocab_path), "--out", str(ckpt), flag, "3"])
+        assert rc == 0
+        metas.append(md.load_checkpoint(ckpt)[1])
+    assert metas[0]["seed"] == metas[1]["seed"] == 3
+    assert metas[0]["config_hash"] == metas[1]["config_hash"]
+
+
+def test_activations_that_cannot_be_allocated_exit_1(workspace, tmp_path, capsys, monkeypatch):
+    _, data_path, config_path, vocab_path = workspace
+
+    def out_of_memory(*args, **kwargs):  # NumPy's message for a (8, 2, 20000, 20000) attention mask
+        raise MemoryError("Unable to allocate 47.7 GiB for an array with shape (8, 2, 20000, 20000)"
+                          " and data type float64")
+
+    monkeypatch.setattr(tr, "run_experiment", out_of_memory)
+    out = tmp_path / "run"
+    rc = cli.main(["train", "--config", str(config_path), "--data", str(data_path),
+                   "--vocab", str(vocab_path), "--out", str(out)])
+    _one_line_error(capsys, rc, 1, "config error: the settings need more memory than can be allocated: "
+                                   "Unable to allocate 47.7 GiB")
     assert not out.exists()
 
 
@@ -681,7 +710,7 @@ def test_unusable_out_is_refused_before_any_work(workspace, trained_run, tmp_pat
     assert captured.out == ""
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a blow-up prints one line, no warnings
 def test_numeric_failure_leaves_no_out_directory(workspace, tmp_path, capsys):
     _, data_path, config_path, vocab_path = workspace
     out = tmp_path / "run"

@@ -495,3 +495,22 @@ def test_train_one_takes_no_step_after_early_stop(monkeypatch):
     # training there, with no flush and no further window
     assert [step for step, _, _ in record.eval_history] == [2, 4]
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("accum, budget, stopped_early", [
+    (1, 4, True),   # four full windows: the second evaluation stops training at step 2 of 4
+    (3, 2, False),  # windows of 3 and 1: patience runs out at the end-of-run evaluation after the short one
+    (2, 2, False),  # windows of 2 and 2: patience runs out at the periodic evaluation of the last step
+], ids=["stop-before-budget", "patience-at-end-of-run-eval", "patience-at-last-periodic-eval"])
+def test_stopped_early_means_the_step_budget_was_cut_short(monkeypatch, accum, budget, stopped_early):
+    examples, vocab, enc = make_setup(40)
+    train_ds, val_ds = encode_split(examples, vocab)  # 32 train: 4 micro-batches of 8
+    cfg = tr.TrainConfig(learning_rate=1e-3, num_epochs=1, batch_size=8, gradient_accumulation_steps=accum,
+                         eval_every_batches=1, early_stop_patience_evals=1, environment="stl", seeds=(1,))
+    assert tr._steps_per_epoch(len(train_ds), cfg) == budget
+    calls = _count_adam_steps(monkeypatch)
+    _, record = tr.train_one(md.init_model(enc, md.STL, task="toxic", seed=1), train_ds, val_ds, cfg, seed=1,
+                             val_metrics_fn=lambda p, step: (0.5, {}))
+    assert [step for step, _, _ in record.eval_history] == [1, 2]
+    assert len(calls) == 2
+    assert record.stopped_early is stopped_early
