@@ -31,6 +31,7 @@ import numpy as np
 
 from germeval_mtl import cli
 from germeval_mtl import data as dt
+from germeval_mtl import model as md
 
 CONFIG = """\
 learning_rate = 2e-3
@@ -97,15 +98,17 @@ def _array_invariants(x: np.ndarray) -> list[float]:
 def digest(root: Path, transcript) -> dict:
     """Each command's exit code and stdout hash, and every file under ``root`` by its path.
 
-    An ``.npz`` maps to its parsed ``__meta__`` and each array's invariants,
-    a ``.json`` file to its parsed value, any other file to its SHA-256.
+    An ``.npz`` is read through ``load_checkpoint`` and maps to its
+    ``__meta__`` and, under ``param/<name>``, each parameter's invariants, so
+    the digest does not depend on how a checkpoint lays out its file. A
+    ``.json`` file maps to its parsed value, any other file to its SHA-256.
     """
     files = {}
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         if path.suffix == ".npz":
-            with np.load(path) as bundle:
-                entry = {key: json.loads(str(bundle[key])) if key == "__meta__" else _array_invariants(bundle[key])
-                         for key in bundle.files}
+            params, meta = md.load_checkpoint(path)
+            entry = {"__meta__": meta, **{f"param/{name}": _array_invariants(tensor.data)
+                                          for name, tensor in params.tensors.items()}}
         elif path.suffix == ".json":
             entry = json.loads(path.read_text(encoding="utf-8"))
         else:

@@ -1,7 +1,7 @@
 """The fixed CLI pipeline of ``cli_digests.py`` against its committed reference.
 
 The pipeline runs in process into a temporary directory. Each ``.npz`` is
-compared by its metadata and per-array invariants, each JSON file by value,
+compared by its metadata and per-parameter invariants, each JSON file by value,
 with floats to 1e-10 relative (and 1e-12 absolute, for sums near zero); every
 other file, and each command's stdout, by SHA-256, and exit codes exactly.
 
