@@ -185,7 +185,7 @@ def _prepare(args):
         enc_cfg = md.EncoderConfig(vocab_size=len(vocab), **{k: values[k] for k in _ENCODER_DEFAULTS})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    elements = md.layout_size(enc_cfg, dt.TASKS, True)[1]  # the largest model a training command builds
+    elements = md.layout_size(enc_cfg, dt.TASKS, True)  # the largest model a training command builds
     try:
         np.zeros(elements)  # lazily mapped: a size that fits costs nothing
     except (MemoryError, ValueError) as exc:
@@ -301,6 +301,9 @@ def cmd_predict(args) -> int:
             raise DataError(f"{ckpt}: unreadable checkpoint: {exc}") from exc
         if meta.get("stage") == "lm":
             raise DataError(f"{ckpt} is a masked-LM stage checkpoint from pretrain-lm; its heads are untrained")
+        for key in ("vocab_hash", "config_hash"):
+            if not isinstance(meta.get(key, ""), str):
+                raise DataError(f"{ckpt}: checkpoint {key} must be a string, got {meta[key]!r}")
         stored = meta.get("vocab_hash")
         if stored is not None and stored != vocab_hash:
             raise ConfigError(
@@ -354,14 +357,13 @@ def cmd_evaluate(args) -> int:
     out = _output_path(args.out) if args.out else None
     # gold may be labels-only (comment_id + label columns) or a full dataset file
     gold_ids, gold_labels = dt.load_predictions(args.gold)
+    stems = [Path(path).stem for path in args.pred]
+    names = stems if len(set(stems)) == len(stems) else args.pred  # distinct once no file is given twice
     systems = {}
-    for path in args.pred:
+    for name, path in zip(names, args.pred):
         pred_ids, preds = dt.load_predictions(path)
         if not set(preds) & set(gold_labels):
             raise DataError(f"{path}: no task column in common with {args.gold}")
-        name = Path(path).stem
-        if name in systems:
-            name = str(path)
         systems[name] = _align_predictions(gold_ids, pred_ids, preds)
 
     per_system_metrics = {

@@ -9,6 +9,7 @@ masked-LM output head is weight-tied to the token embeddings.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
@@ -21,7 +22,7 @@ from germeval_mtl import autodiff as ad
 from germeval_mtl.data import TASKS
 from germeval_mtl.tokenizer import EncodedInput
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 ATTENTION_MASK_BIAS = -1e9  # additive score for padded key positions
 
 STL, MTL = "stl", "mtl"
@@ -97,24 +98,28 @@ def _layout(config: EncoderConfig, head_tasks: tuple, has_mlm_head: bool) -> dic
     return {"heads": heads, "encoder": encoder, "mlm": mlm}
 
 
-def layout_size(config: EncoderConfig, head_tasks: tuple, has_mlm_head: bool) -> tuple[int, int]:
-    """(arrays, elements) of the layout, without walking its layers: every layer adds the same block."""
-    def count(n_layers: int) -> tuple[int, int]:
+def layout_size(config: EncoderConfig, head_tasks: tuple, has_mlm_head: bool) -> int:
+    """Elements of the layout, without walking its layers: every layer adds the same block."""
+    def count(n_layers: int) -> int:
         groups = _layout(replace(config, n_layers=n_layers), head_tasks, has_mlm_head).values()
-        shapes = [shape for group in groups for _, shape, _ in group]
-        return len(shapes), sum(math.prod(shape) for shape in shapes)
+        return sum(math.prod(shape) for group in groups for _, shape, _ in group)
 
-    (arrays, elements), (arrays_1, elements_1) = count(0), count(1)
-    n = config.n_layers
-    return arrays + n * (arrays_1 - arrays), elements + n * (elements_1 - elements)
+    elements = count(0)
+    return elements + config.n_layers * (count(1) - elements)
+
+
+def _layout_sha256(layout: dict) -> str:
+    """SHA-256 of the arena's (name, shape) list in GROUPS order."""
+    entries = [[name, list(shape)] for g in GROUPS for name, shape, _ in layout[g]]
+    return hashlib.sha256(json.dumps(entries).encode("utf-8")).hexdigest()
 
 
 class ModelParams:
     """All learnable tensors plus the environment they were built for.
 
     Each tensor is a view of one zeroed float64 data and grad arena laid out in
-    GROUPS order. ``tensors`` iterates in checkpoint order (encoder, mlm, heads),
-    which fixes the order of the saved arrays and of the clip norm's sum."""
+    GROUPS order. ``tensors`` iterates encoder, mlm, heads, which fixes the
+    order of the clip norm's sum."""
 
     def __init__(self, config: EncoderConfig, environment: str, task: str | None, has_mlm_head: bool):
         if environment not in (STL, MTL):
@@ -159,10 +164,6 @@ class ModelParams:
 
     def encoder_tensor_names(self) -> list:
         return [name for name, _, _ in self.layout["encoder"]]
-
-    def parameter_counts(self) -> dict:
-        counts = {g: self.bounds[g].stop - self.bounds[g].start for g in ("encoder", "heads", "mlm")}
-        return {**counts, "total": self.tensors.data.size}
 
     def load_arrays(self, arrays: dict) -> None:
         """Copy each array into the tensor of that name, whose shape it must have (unchecked)."""
@@ -326,19 +327,19 @@ def predict_labels(probs: ad.Tensor) -> np.ndarray:
 
 
 def save_checkpoint(params: ModelParams, path: str | Path, extra_meta: dict | None = None) -> None:
-    """Self-describing container: parameter arrays + config + environment."""
+    """Self-describing container: the parameter arena + config + environment + the arena's layout digest."""
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": asdict(params.config),
         "environment": params.environment,
         "task": params.task,
         "has_mlm_head": params.has_mlm_head,
+        "layout_sha256": _layout_sha256(params.layout),
     }
     if extra_meta:
         meta.update(extra_meta)
-    arrays = {f"param/{name}": t.data for name, t in params.tensors.items()}
     buffer = io.BytesIO()
-    np.savez(buffer, __meta__=np.asarray(json.dumps(meta, sort_keys=True)), **arrays)
+    np.savez(buffer, __meta__=np.asarray(json.dumps(meta, sort_keys=True)), arena=params.tensors.data)
     Path(path).write_bytes(buffer.getvalue())
 
 
@@ -351,8 +352,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
         if not isinstance(meta, dict):
             raise ValueError(f"checkpoint metadata must be a JSON object, got {type(meta).__name__}")
         if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format {meta.get('format_version')!r}")
-        arrays = {key[len("param/"):]: bundle[key] for key in bundle.files if key.startswith("param/")}
+            raise ValueError(f"unsupported checkpoint format {meta.get('format_version')!r}:"
+                             f" this version reads format {CHECKPOINT_FORMAT_VERSION}, one parameter arena")
+        arena = bundle["arena"]
     config = meta["config"]
     if not isinstance(config, dict):
         raise ValueError(f"checkpoint config must be a JSON object, got {type(config).__name__}")
@@ -362,20 +364,13 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, dict]:
                          f" missing {sorted(expected - set(config))}")
     config = EncoderConfig(**config)
     head_tasks = (meta["task"],) if meta["environment"] == STL else TASKS
-    implied = layout_size(config, head_tasks, meta["has_mlm_head"])[0]
-    gap = implied - len(arrays)
-    if gap:  # counted first: listing the layout walks every layer the config claims
-        raise ValueError(f"checkpoint stores {len(arrays)} parameter arrays, its config implies {implied}:"
-                         f" at least {abs(gap)} {'missing' if gap > 0 else 'unknown'}")
-    layout = {n: shape for group in _layout(config, head_tasks, meta["has_mlm_head"]).values() for n, shape, _ in group}
-    stored = {name: arr.shape for name, arr in arrays.items()}
-    if stored != layout:  # compared before the arena exists: a config alone may imply any size
-        wrong = {"missing": layout.keys() - stored.keys(), "unknown": stored.keys() - layout.keys(),
-                 "mis-shaped": {n for n in layout.keys() & stored.keys() if layout[n] != stored[n]}}
-        found = "; ".join(f"{len(names)} {kind} {sorted(names)[:3]}" for kind, names in wrong.items() if names)
-        raise ValueError(f"checkpoint parameters do not fit its config: {found}")
+    size = layout_size(config, head_tasks, meta["has_mlm_head"])
+    if arena.shape != (size,):  # compared before the model exists: a config alone may imply any size
+        raise ValueError(f"checkpoint stores {arena.size} parameters, its config implies {size}")
     params = ModelParams(config, meta["environment"], meta["task"], meta["has_mlm_head"])
-    params.load_arrays(arrays)
+    if meta.get("layout_sha256") != _layout_sha256(params.layout):
+        raise ValueError("checkpoint parameters do not fit its config: their layout_sha256 differs")
+    params.tensors.data[:] = arena
     if not np.isfinite(params.tensors.data).all():
         bad = next(name for name, t in params.tensors.items() if not np.isfinite(t.data).all())
         raise ValueError(f"checkpoint parameter {bad!r} holds non-finite values")

@@ -371,8 +371,13 @@ def test_predict_bad_checkpoint_exits_2(workspace, trained_run, tmp_path, capsys
     truncated.write_bytes(blob[: len(blob) // 2])
     plain = tmp_path / "plain.npy"
     np.save(plain, np.zeros(3))
+    params, meta = md.load_checkpoint(trained_run / "ckpt-seed1.npz")
+    version_1 = tmp_path / "version-1.npz"  # one param/<name> array per tensor
+    np.savez(version_1, __meta__=np.asarray(json.dumps({**meta, "format_version": 1})),
+             **{f"param/{name}": t.data for name, t in params.tensors.items()})
     for ckpt, reason in ((future, "unsupported checkpoint format 99"), (truncated, "unreadable"),
-                         (plain, "not an .npz archive")):
+                         (plain, "not an .npz archive"),
+                         (version_1, "unsupported checkpoint format 1: this version reads format 2")):
         capsys.readouterr()
         rc = cli.main(["predict", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
                        "--data", str(data_path), "--out", str(tmp_path / "x.csv")])
@@ -387,6 +392,8 @@ def test_predict_bad_checkpoint_exits_2(workspace, trained_run, tmp_path, capsys
     "null-config": lambda meta: meta.update(config=None) or meta,
     "list-metadata": lambda meta: [meta],
     "huge-max-seq-len": lambda meta: meta["config"].update(max_seq_len=10**13) or meta,  # no arena allocated
+    "int-vocab-hash": lambda meta: meta.update(vocab_hash=5) or meta,
+    "null-config-hash": lambda meta: meta.update(config_hash=None) or meta,
 }.items(), ids=lambda item: item[0])
 def test_predict_malformed_checkpoint_metadata_exits_2(workspace, trained_run, tmp_path, capsys, damage):
     _, data_path, _, vocab_path = workspace
@@ -403,11 +410,10 @@ def test_predict_malformed_checkpoint_metadata_exits_2(workspace, trained_run, t
 
 def test_predict_non_finite_checkpoint_exits_2(workspace, trained_run, tmp_path, capsys):
     _, data_path, _, vocab_path = workspace
-    with np.load(trained_run / "ckpt-seed1.npz") as bundle:
-        arrays = {k: bundle[k] for k in bundle.files}
-    arrays["param/head.toxic.W"][1, 0] = np.nan
+    params, meta = md.load_checkpoint(trained_run / "ckpt-seed1.npz")
+    params.tensors["head.toxic.W"].data[1, 0] = np.nan
     ckpt, out = tmp_path / "nan.npz", tmp_path / "preds.csv"
-    np.savez(ckpt, **arrays)
+    md.save_checkpoint(params, ckpt, extra_meta=meta)
     rc = cli.main(["predict", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
                    "--data", str(data_path), "--out", str(out)])
     _one_line_error(capsys, rc, 2, "'head.toxic.W' holds non-finite values")
@@ -433,7 +439,7 @@ def test_predict_refuses_a_checkpoint_claiming_more_layers_than_it_stores(worksp
     monkeypatch.setattr(md, "_layout", bounded_layout)
     rc = cli.main(["predict", "--checkpoint", str(ckpt), "--vocab", str(vocab_path),
                    "--data", str(data_path), "--out", str(out)])
-    _one_line_error(capsys, rc, 2, f"stores {len(arrays) - 1} parameter arrays, its config implies 160000000000010")
+    _one_line_error(capsys, rc, 2, f"stores {arrays['arena'].size} parameters, its config implies 85440000000004422")
     assert not out.exists()
 
 
@@ -486,6 +492,17 @@ def test_evaluate_refuses_a_pred_file_given_twice(trained_run, tmp_path, capsys,
     argv = ["evaluate", "--gold", "val-gold.csv", *(arg for p in twice for arg in ("--pred", p)), "--out", str(out)]
     _one_line_error(capsys, cli.main(argv), 1, f"--pred {twice[-1]} is given more than once")
     assert not out.exists()
+
+
+def test_evaluate_names_each_pred_file_once_when_stems_collide(trained_run, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(trained_run / "preds-seed1.csv", "p.csv")
+    shutil.copy(trained_run / "preds-seed2.csv", "p")  # the same stem as p.csv
+    argv = ["evaluate", "--gold", str(trained_run / "val-gold.csv"), "--pred", "p.csv", "--pred", "p", "--out", "m.csv"]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    with open("m.csv", encoding="utf-8") as fh:
+        systems = [row["system"] for row in csv.DictReader(fh)]
+    assert systems == ["p.csv"] * 3 + ["p"] * 3 + ["ensemble"] * 3
 
 
 def test_evaluate_rejects_duplicate_ids(workspace, trained_run, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -240,16 +241,16 @@ def test_parameter_count_identities():
     for d_model in (16, 64, 128):
         cfg = md.EncoderConfig(vocab_size=500, d_model=d_model, n_layers=2, n_heads=4,
                                d_ff=4 * d_model, max_seq_len=16, dropout=0.0)
-        mtl = md.init_model(cfg, md.MTL, seed=0).parameter_counts()
-        assert mtl["heads"] == 3 * head_size(cfg)
-        assert mtl["total"] == mtl["encoder"] + 3 * head_size(cfg)
+        mtl = md.init_model(cfg, md.MTL, seed=0)
+        mtl_encoder = mtl.group("encoder").data.size
+        assert mtl.group("heads").data.size == 3 * head_size(cfg)
+        assert mtl.tensors.data.size == mtl_encoder + 3 * head_size(cfg)
 
         stl_models = [md.init_model(cfg, md.STL, task=t, seed=0) for t in TASKS]
-        stl_counts = [m.parameter_counts() for m in stl_models]
-        assert all(c["encoder"] == mtl["encoder"] for c in stl_counts)
-        stl_total = sum(c["total"] for c in stl_counts)
-        assert stl_total == 3 * mtl["encoder"] + 3 * head_size(cfg)
-        ratios.append(mtl["total"] / stl_total)
+        assert all(m.group("encoder").data.size == mtl_encoder for m in stl_models)
+        stl_total = sum(m.tensors.data.size for m in stl_models)
+        assert stl_total == 3 * mtl_encoder + 3 * head_size(cfg)
+        ratios.append(mtl.tensors.data.size / stl_total)
     assert ratios == sorted(ratios, reverse=True)  # shrinking toward 1/3
     assert abs(ratios[-1] - 1 / 3) < 1e-3
 
@@ -258,7 +259,7 @@ def test_mlm_head_is_tied_and_counted():
     cfg = md.EncoderConfig(vocab_size=40, d_model=8, n_layers=1, n_heads=2, d_ff=16,
                            max_seq_len=8, dropout=0.0)
     params = md.init_model(cfg, md.MTL, with_mlm_head=True, seed=0)
-    assert params.parameter_counts()["mlm"] == cfg.vocab_size  # bias only, weights tied
+    assert params.group("mlm").data.size == cfg.vocab_size  # bias only, weights tied
     ids = np.array([[tok.CLS_ID, 7, tok.SEP_ID, tok.PAD_ID]])
     mask = np.array([[1.0, 1.0, 1.0, 0.0]])
     labels = np.full(4, tok.IGNORE_INDEX)
@@ -289,8 +290,6 @@ def test_checkpoint_rejects_other_versions(tmp_path):
     params = md.init_model(TINY, md.STL, task="toxic", seed=0)
     path = tmp_path / "model.npz"
     md.save_checkpoint(params, path)
-    import json
-
     with np.load(path) as bundle:
         meta = json.loads(str(bundle["__meta__"]))
         arrays = {k: bundle[k] for k in bundle.files if k != "__meta__"}
@@ -331,7 +330,7 @@ def test_optimizer_groups_are_single_slices():
     params = md.init_model(TINY, md.MTL, with_mlm_head=True, seed=1)
     for groups, excluded in ((("heads", "encoder"), "mlm."), (("encoder", "mlm"), "head.")):
         group = params.group(*groups)
-        assert list(group) == [n for n in params.tensors if not n.startswith(excluded)]  # checkpoint order
+        assert list(group) == [n for n in params.tensors if not n.startswith(excluded)]  # tensors order
         assert group.data.base is params.tensors.data and group.grad.base is params.tensors.grad
         assert group.data.size == sum(t.data.size for t in group.values())
         params.tensors.data[:] = 0.0
@@ -357,14 +356,25 @@ def test_load_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
     assert np.array_equal(loaded.tensors.data, params.tensors.data)
 
 
+def _swap_vocab_and_positions(meta: dict) -> dict:
+    """The same element count under another layout: tok_emb and pos_emb trade row counts."""
+    config = meta["config"]
+    config["vocab_size"], config["max_seq_len"] = config["max_seq_len"], config["vocab_size"]
+    return meta
+
+
 @pytest.mark.parametrize("edit, message", [
-    (lambda arrays: arrays.pop("param/head.toxic.b"), "missing"),
-    (lambda arrays: arrays.update({"param/head.engaging.b": np.zeros(2)}), "unknown"),
-    (lambda arrays: arrays.update({"param/pos_emb": np.zeros((3, TINY.d_model))}), "shape"),
+    (lambda arrays: arrays.update(arena=arrays["arena"][:-1]), "stores 5041 parameters, its config implies 5042"),
+    (lambda arrays: arrays.update(arena=np.append(arrays["arena"], 0.0)),
+     "stores 5043 parameters, its config implies 5042"),
+    (lambda arrays: arrays.update(__meta__=np.asarray(json.dumps(_swap_vocab_and_positions(
+        json.loads(str(arrays["__meta__"])))))), "layout_sha256 differs"),
 ], ids=["missing", "unknown", "mis-shaped"])
 def test_load_checkpoint_rejects_foreign_parameters(tmp_path, edit, message):
     path = tmp_path / "model.npz"
-    md.save_checkpoint(md.init_model(TINY, md.STL, task="toxic", seed=0), path)
+    params = md.init_model(TINY, md.STL, task="toxic", seed=0)
+    assert params.tensors.data.size == 5042
+    md.save_checkpoint(params, path)
     with np.load(path) as bundle:
         arrays = {k: bundle[k] for k in bundle.files}
     edit(arrays)
@@ -426,4 +436,4 @@ def test_layout_size_counts_the_arena_without_walking_layers(n_layers):
     config = dataclasses.replace(TINY, n_layers=n_layers)
     for environment, task, mlm in ((md.STL, "toxic", False), (md.MTL, None, False), (md.MTL, None, True)):
         params = md.ModelParams(config, environment, task, mlm)
-        assert md.layout_size(config, params.head_tasks, mlm) == (len(params.tensors), params.tensors.data.size)
+        assert md.layout_size(config, params.head_tasks, mlm) == params.tensors.data.size
