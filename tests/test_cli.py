@@ -494,7 +494,7 @@ def test_evaluate_refuses_a_pred_file_given_twice(trained_run, tmp_path, capsys,
     assert not out.exists()
 
 
-def test_evaluate_names_each_pred_file_once_when_stems_collide(trained_run, tmp_path, capsys, monkeypatch):
+def test_evaluate_keeps_every_pred_file_when_stems_collide(trained_run, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     shutil.copy(trained_run / "preds-seed1.csv", "p.csv")
     shutil.copy(trained_run / "preds-seed2.csv", "p")  # the same stem as p.csv

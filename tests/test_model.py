@@ -356,19 +356,14 @@ def test_load_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
     assert np.array_equal(loaded.tensors.data, params.tensors.data)
 
 
-def _swap_vocab_and_positions(meta: dict) -> dict:
-    """The same element count under another layout: tok_emb and pos_emb trade row counts."""
-    config = meta["config"]
-    config["vocab_size"], config["max_seq_len"] = config["max_seq_len"], config["vocab_size"]
-    return meta
-
-
 @pytest.mark.parametrize("edit, message", [
-    (lambda arrays: arrays.update(arena=arrays["arena"][:-1]), "stores 5041 parameters, its config implies 5042"),
-    (lambda arrays: arrays.update(arena=np.append(arrays["arena"], 0.0)),
+    (lambda arrays, config: arrays.update(arena=arrays["arena"][:-1]),
+     "stores 5041 parameters, its config implies 5042"),
+    (lambda arrays, config: arrays.update(arena=np.append(arrays["arena"], 0.0)),
      "stores 5043 parameters, its config implies 5042"),
-    (lambda arrays: arrays.update(__meta__=np.asarray(json.dumps(_swap_vocab_and_positions(
-        json.loads(str(arrays["__meta__"])))))), "layout_sha256 differs"),
+    # the same element count under another layout: tok_emb and pos_emb trade row counts
+    (lambda arrays, config: config.update(vocab_size=config["max_seq_len"], max_seq_len=config["vocab_size"]),
+     "layout_sha256 differs"),
 ], ids=["missing", "unknown", "mis-shaped"])
 def test_load_checkpoint_rejects_foreign_parameters(tmp_path, edit, message):
     path = tmp_path / "model.npz"
@@ -377,7 +372,9 @@ def test_load_checkpoint_rejects_foreign_parameters(tmp_path, edit, message):
     md.save_checkpoint(params, path)
     with np.load(path) as bundle:
         arrays = {k: bundle[k] for k in bundle.files}
-    edit(arrays)
+    meta = json.loads(str(arrays["__meta__"]))
+    edit(arrays, meta["config"])
+    arrays["__meta__"] = np.asarray(json.dumps(meta))
     np.savez(path, **arrays)
     with pytest.raises(ValueError, match=message):
         md.load_checkpoint(path)
