@@ -146,6 +146,8 @@ def cmd_build_vocab(args) -> int:
     out = _output_path(args.out)
     if args.max_size <= len(tok.SPECIAL_TOKENS):
         raise ConfigError(f"--max-size must exceed the {len(tok.SPECIAL_TOKENS)} special tokens, got {args.max_size}")
+    if args.min_freq < 1:
+        raise ConfigError(f"--min-freq must be at least 1, got {args.min_freq}")
     corpus = [ex.text for ex in dt.load_dataset(args.data)]
     if not any(tok.pre_tokenize(text) for text in corpus):
         raise DataError(f"{args.data}: no words to build a vocabulary from")
@@ -358,7 +360,10 @@ def cmd_evaluate(args) -> int:
     # gold may be labels-only (comment_id + label columns) or a full dataset file
     gold_ids, gold_labels = dt.load_predictions(args.gold)
     stems = [Path(path).stem for path in args.pred]
-    names = stems if len(set(stems)) == len(stems) else args.pred  # distinct once no file is given twice
+    # Stems that collide, with each other or with the ensemble row, give way to the --pred strings,
+    # which are distinct once no file is given twice.
+    names = stems if len(set(stems)) == len(stems) and "ensemble" not in stems else [
+        f"./{path}" if path == "ensemble" else path for path in args.pred]
     systems = {}
     for name, path in zip(names, args.pred):
         pred_ids, preds = dt.load_predictions(path)

@@ -8,6 +8,7 @@ masked-LM objective expect.
 
 from __future__ import annotations
 
+import heapq
 import re
 import unicodedata
 from collections import Counter
@@ -100,9 +101,20 @@ def build_vocab(corpus: list[str], max_size: int = 8000, min_freq: int = 1) -> V
     Words rarer than ``min_freq`` contribute characters but are never
     merged into whole-word entries. Ties break lexicographically, so the
     result is a pure function of (corpus, max_size, min_freq).
+
+    Unit and pair counts are taken once and then kept up to date: a merge
+    rewrites only the words its pair occurs in, moves their counts from the
+    old split to the new one, and pushes a fresh score for each pair whose
+    count changed or that contains a unit whose count changed. A heap entry
+    is used only while its pair exists and rescores to the same float, and
+    the heap is rebuilt from the live pairs once it holds twice as many
+    entries. The vocabulary is the one a full recount before every merge
+    gives.
     """
     if max_size <= 5:
         raise ValueError("max_size must exceed the 5 special tokens")
+    if min_freq < 1:
+        raise ValueError("min_freq must be at least 1")
     word_freqs = Counter()
     for text in corpus:
         word_freqs.update(pre_tokenize(text))
@@ -121,27 +133,73 @@ def build_vocab(corpus: list[str], max_size: int = 8000, min_freq: int = 1) -> V
 
     splits = [(freq, [c if i == 0 else "##" + c for i, c in enumerate(word)])
               for word, freq in word_freqs.items() if freq >= min_freq]
-    while len(tokens) < max_size:
-        units, pairs = {}, {}  # plain dicts: Counter's __missing__ costs a Python call per new key
-        for freq, parts in splits:
-            for part in parts:
-                units[part] = units.get(part, 0) + freq
-            for pair in zip(parts, parts[1:]):
-                pairs[pair] = pairs.get(pair, 0) + freq
-        if not pairs:
+    units, pairs = {}, {}  # plain dicts: Counter's __missing__ costs a Python call per new key
+    where = {}  # pair -> indices of the words that held it; an entry may be stale, so each is checked
+    with_unit = {}  # unit -> the live pairs that contain it
+    heap = []  # (-score, pair): the highest score first, its ties broken lexicographically
+    rewritten = [(idx, [], parts) for idx, (_, parts) in enumerate(splits)]  # at first every word is new
+    while True:
+        # Move each rewritten word's counts from its old split to its new one.
+        unit_delta, pair_delta = {}, {}
+        for idx, before, after in rewritten:
+            freq = splits[idx][0]
+            for sign, seq in ((-freq, before), (freq, after)):
+                for part in seq:
+                    unit_delta[part] = unit_delta.get(part, 0) + sign
+                for pair in zip(seq, seq[1:]):
+                    pair_delta[pair] = pair_delta.get(pair, 0) + sign
+            for pair in zip(after, after[1:]):
+                where.setdefault(pair, set()).add(idx)
+        # A score moves with its pair's count and with either unit's count.
+        rescore = set()
+        for pair, delta in pair_delta.items():
+            if not delta:
+                continue
+            n = pairs.get(pair, 0) + delta
+            if n:
+                if pair not in pairs:
+                    with_unit.setdefault(pair[0], set()).add(pair)
+                    with_unit.setdefault(pair[1], set()).add(pair)
+                pairs[pair] = n
+                rescore.add(pair)
+            else:
+                del pairs[pair]
+                where.pop(pair, None)
+                with_unit[pair[0]].discard(pair)
+                with_unit[pair[1]].discard(pair)
+        for unit, delta in unit_delta.items():
+            if delta:
+                units[unit] = units.get(unit, 0) + delta
+                rescore.update(with_unit.get(unit, ()))
+        for a, b in rescore:
+            heapq.heappush(heap, (-pairs[a, b] / (units[a] * units[b]), (a, b)))
+        if len(heap) > 2 * len(pairs):  # stale entries would otherwise pile up
+            heap = [(-n / (units[a] * units[b]), (a, b)) for (a, b), n in pairs.items()]
+            heapq.heapify(heap)
+
+        if len(tokens) >= max_size or not pairs:
             break
-        left, right = min(pairs, key=lambda p: (-pairs[p] / (units[p[0]] * units[p[1]]), p))
+        while True:  # an entry is live while its pair exists and rescoring gives the same float
+            key, (left, right) = heapq.heappop(heap)
+            n = pairs.get((left, right))
+            if n and key == -n / (units[left] * units[right]):
+                break
         merged = left + right[2:] if right.startswith("##") else left + right
         # Distinct pairs can collapse to the same string; only add it once.
         if merged not in vocab_set:
             tokens.append(merged)
             vocab_set.add(merged)
-        for _, parts in splits:
+        rewritten = []
+        for idx in where.pop((left, right)):
+            parts = splits[idx][1]
+            before = parts[:]
             i = 0
             while i < len(parts) - 1:
                 if parts[i] == left and parts[i + 1] == right:
                     parts[i:i + 2] = [merged]
                 i += 1
+            if len(parts) < len(before):
+                rewritten.append((idx, before, parts))
 
     return Vocab(tokens)
 

@@ -505,6 +505,19 @@ def test_evaluate_keeps_every_pred_file_when_stems_collide(trained_run, tmp_path
     assert systems == ["p.csv"] * 3 + ["p"] * 3 + ["ensemble"] * 3
 
 
+@pytest.mark.parametrize("path, name", [("ensemble.csv", "ensemble.csv"), ("ensemble", "./ensemble")])
+def test_evaluate_keeps_a_system_whose_stem_is_ensemble(trained_run, tmp_path, capsys, monkeypatch, path, name):
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(trained_run / "val-gold.csv", path)  # a perfect system
+    shutil.copy(trained_run / "preds-seed1.csv", "other.csv")
+    argv = ["evaluate", "--gold", str(trained_run / "val-gold.csv"), "--pred", path, "--pred", "other.csv", "--out", "m.csv"]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    with open("m.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["system"] for row in rows] == [name] * 3 + ["other.csv"] * 3 + ["ensemble"] * 3
+    assert all(float(row["f1"]) == 1.0 for row in rows[:3])
+
+
 def test_evaluate_rejects_duplicate_ids(workspace, trained_run, tmp_path, capsys):
     gold = trained_run / "val-gold.csv"
     ids, preds = dt.load_predictions(gold)
@@ -521,10 +534,17 @@ def _one_line_error(capsys, rc, expected_rc, needle):
     assert needle in err and len(err.strip().splitlines()) == 1, err
 
 
-def test_build_vocab_max_size_at_special_tokens_exits_1(workspace, tmp_path, capsys):
+@pytest.mark.parametrize("flags, needle", [
+    (["--max-size", "5"], "--max-size must exceed the 5 special tokens"),
+    (["--min-freq", "0"], "--min-freq must be at least 1, got 0"),
+    (["--min-freq", "-5"], "--min-freq must be at least 1, got -5"),
+], ids=["max-size-5", "min-freq-0", "min-freq-minus-5"])
+def test_build_vocab_max_size_at_special_tokens_exits_1(workspace, tmp_path, capsys, monkeypatch, flags, needle):
     _, data_path, _, _ = workspace
-    rc = cli.main(["build-vocab", "--data", str(data_path), "--out", str(tmp_path / "v.txt"), "--max-size", "5"])
-    _one_line_error(capsys, rc, 1, "--max-size must exceed the 5 special tokens")
+    monkeypatch.setattr(dt, "load_dataset", lambda path: pytest.fail(f"read {path}"))
+    rc = cli.main(["build-vocab", "--data", str(data_path), "--out", str(tmp_path / "v.txt"), *flags])
+    _one_line_error(capsys, rc, 1, needle)
+    assert not (tmp_path / "v.txt").exists()
 
 
 def test_train_with_an_empty_split_side_exits_2(workspace, tmp_path, capsys):

@@ -57,6 +57,9 @@ def test_build_vocab_rejects_bad_inputs():
         tok.build_vocab([], max_size=100)
     with pytest.raises(ValueError):
         tok.build_vocab(["   "], max_size=100)
+    for min_freq in (0, -5):
+        with pytest.raises(ValueError, match="min_freq"):
+            tok.build_vocab(["text"], max_size=100, min_freq=min_freq)
 
 
 def test_vocab_round_trips_through_file(tmp_path, small_vocab):
