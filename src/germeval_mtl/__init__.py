@@ -11,7 +11,7 @@ from germeval_mtl.autodiff import GradCheckReport, Tensor, finite_diff_grad, gra
 from germeval_mtl.data import Example, SynthSpec, load_dataset, split, summarize, synth_generate
 from germeval_mtl.metrics import ConfusionCounts, TaskMetrics, confusion, prf1, results_table
 from germeval_mtl.model import EncoderConfig, ModelParams, init_model, load_checkpoint, save_checkpoint
-from germeval_mtl.objectives import LossBundle, loss_bundle, mlm_loss, multi_loss, task_loss
+from germeval_mtl.objectives import LossBundle, loss_bundle, mlm_loss, task_loss
 from germeval_mtl.tokenizer import EncodedInput, Vocab, build_vocab, encode, mask_for_mlm
 from germeval_mtl.train import (
     RunRecord,
@@ -49,7 +49,6 @@ __all__ = [
     "loss_bundle",
     "mask_for_mlm",
     "mlm_loss",
-    "multi_loss",
     "prf1",
     "results_table",
     "run_experiment",

@@ -67,9 +67,10 @@ def _csv_rows(path: Path, handle):
 def _read(path: str | Path, text: bool, labels: bool | None) -> tuple[list, list, dict]:
     """The one reader behind every loader: (ids, texts, task -> 0/1 labels).
 
-    A header is required and every row has exactly its field count; ids are
-    stripped and unique. ``labels`` True requires every label column, None
-    takes the label columns the header has (at least one), False reads none.
+    A header is required and names the id, text and label columns at most
+    once each; every row has exactly its field count; ids are stripped and
+    unique. ``labels`` True requires every label column, None takes the
+    label columns the header has (at least one), False reads none.
     ``texts`` stays empty unless ``text``. Blank lines are skipped.
     """
     path = Path(path)
@@ -81,6 +82,9 @@ def _read(path: str | Path, text: bool, labels: bool | None) -> tuple[list, list
         if header is None:
             raise DataError(f"{path}: empty file, expected a header row")
         col = {name: i for i, name in enumerate(header)}
+        for name in (ID_COLUMN, TEXT_COLUMN, *LABEL_COLUMNS.values()):
+            if header.count(name) > 1:
+                raise DataError(f"{path}: header names column {name!r} more than once")
         task_of = {c: t for t, c in LABEL_COLUMNS.items()}
         if labels is None:  # header order, as the file was written
             wanted = {task_of[c]: c for c in col if c in task_of}

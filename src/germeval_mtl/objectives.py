@@ -1,7 +1,8 @@
-"""Task losses, the equal-weight multitask loss, and the masked-LM loss."""
+"""Task losses, their equal-weight mean over a model's heads, and the masked-LM loss."""
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -12,20 +13,13 @@ from germeval_mtl.tokenizer import IGNORE_INDEX
 
 logger = logging.getLogger(__name__)
 
-_BUNDLE_FIELDS = {"toxic": "l_toxic", "engaging": "l_engage", "fact_claiming": "l_fact"}
-
 
 @dataclass
 class LossBundle:
-    """The three task losses and their arithmetic mean, on one graph."""
+    """Each head's task loss and their equal-weight mean, on one graph."""
 
-    l_toxic: ad.Tensor
-    l_engage: ad.Tensor
-    l_fact: ad.Tensor
-    l_multi: ad.Tensor
-
-    def task(self, task: str) -> ad.Tensor:
-        return getattr(self, _BUNDLE_FIELDS[task])
+    per_task: dict[str, ad.Tensor]
+    mean: ad.Tensor
 
 
 def task_loss(logits: ad.Tensor, labels) -> ad.Tensor:
@@ -42,23 +36,17 @@ def task_loss(logits: ad.Tensor, labels) -> ad.Tensor:
     return ad.cross_entropy(logits, labels)
 
 
-def multi_loss(l_toxic: ad.Tensor, l_engage: ad.Tensor, l_fact: ad.Tensor) -> ad.Tensor:
-    """Exact arithmetic mean of the three task losses (equal importance)."""
-    for term in (l_toxic, l_engage, l_fact):
-        if term.data.size != 1:
-            raise ValueError("multi_loss expects scalar task losses")
-    return ad.add(ad.add(l_toxic, l_engage), l_fact) / 3
-
-
 def loss_bundle(outputs: dict, labels: dict) -> LossBundle:
-    """Per-task losses plus their mean, built on the shared forward graph."""
-    losses = {task: task_loss(outputs[task], labels[task]) for task in _BUNDLE_FIELDS}
-    return LossBundle(
-        l_toxic=losses["toxic"],
-        l_engage=losses["engaging"],
-        l_fact=losses["fact_claiming"],
-        l_multi=multi_loss(losses["toxic"], losses["engaging"], losses["fact_claiming"]),
-    )
+    """The classification objective over any non-empty dict of head logits.
+
+    ``per_task`` holds each head's ``task_loss`` in the order of
+    ``outputs``. ``mean`` is that loss itself for one head; for more it is
+    their left-fold sum in that order divided by the head count, so every
+    task weighs the same.
+    """
+    per_task = {task: task_loss(logits, labels[task]) for task, logits in outputs.items()}
+    total = functools.reduce(ad.add, per_task.values())
+    return LossBundle(per_task, total / len(per_task) if len(per_task) > 1 else total)
 
 
 def mlm_loss(logits: ad.Tensor, labels) -> ad.Tensor:

@@ -129,7 +129,6 @@ def build_vocab(corpus: list[str], max_size: int = 8000, min_freq: int = 1) -> V
     alphabet = sorted(alphabet_freqs, key=lambda t: (-alphabet_freqs[t], t))
 
     tokens = list(SPECIAL_TOKENS) + alphabet[: max_size - 5]
-    vocab_set = set(tokens)
 
     splits = [(freq, [c if i == 0 else "##" + c for i, c in enumerate(word)])
               for word, freq in word_freqs.items() if freq >= min_freq]
@@ -185,10 +184,7 @@ def build_vocab(corpus: list[str], max_size: int = 8000, min_freq: int = 1) -> V
             if n and key == -n / (units[left] * units[right]):
                 break
         merged = left + right[2:] if right.startswith("##") else left + right
-        # Distinct pairs can collapse to the same string; only add it once.
-        if merged not in vocab_set:
-            tokens.append(merged)
-            vocab_set.add(merged)
+        tokens.append(merged)
         rewritten = []
         for idx in where.pop((left, right)):
             parts = splits[idx][1]

@@ -147,12 +147,9 @@ def _head_logits(params: md.ModelParams, ids: np.ndarray, mask: np.ndarray,
     return md.mtl_forward(params, ids, mask, train_mode, rng)
 
 
-def _objective(params: md.ModelParams, logits: dict, labels: dict, rows) -> ad.Tensor:
-    """The task's own cross-entropy for a single-task model, the equal-weight
-    multitask mean otherwise."""
-    if params.environment == md.STL:
-        return obj.task_loss(logits[params.task], labels[params.task][rows])
-    return obj.loss_bundle(logits, {t: labels[t][rows] for t in dt.TASKS}).l_multi
+def _objective(logits: dict, labels: dict, rows) -> ad.Tensor:
+    """The equal-weight mean of the head losses: a one-head model's own loss."""
+    return obj.loss_bundle(logits, {t: labels[t][rows] for t in logits}).mean
 
 
 def _no_grad_pass(params: md.ModelParams, ds: dt.EncodedDataset, batch_size: int) -> tuple[list, dict]:
@@ -185,7 +182,7 @@ def evaluate_model(params: md.ModelParams, ds: dt.EncodedDataset, batch_size: in
     The loss is the quantity training minimizes, averaged over examples.
     """
     batches, preds = _no_grad_pass(params, ds, batch_size)
-    total = sum(float(_objective(params, logits, ds.labels, rows).data) * (rows.stop - rows.start)
+    total = sum(float(_objective(logits, ds.labels, rows).data) * (rows.stop - rows.start)
                 for rows, logits in batches)
     f1s = {t: mx.score(preds[t], ds.labels[t], "macro").f1 for t in params.head_tasks}
     return total / len(ds), f1s
@@ -264,7 +261,7 @@ def train_one(params: md.ModelParams, train_ds: dt.EncodedDataset, val_ds: dt.En
 
     def batch_loss(epoch: int, idx: np.ndarray) -> ad.Tensor:
         logits = _head_logits(params, train_ds.ids[idx], train_ds.attention_mask[idx], True, dropout_rng)
-        return _objective(params, logits, train_ds.labels, idx)
+        return _objective(logits, train_ds.labels, idx)
 
     def after_step(opt_step: int) -> bool:
         return opt_step % cfg.eval_every_batches == 0 and run_eval(opt_step)

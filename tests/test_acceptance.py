@@ -84,11 +84,11 @@ def test_criterion_1_gradient_suite():
         # classification side: the equal-weight multitask loss
         def multi_value() -> float:
             bundle = obj.loss_bundle(md.mtl_forward(params, ids, mask), labels)
-            return float(bundle.l_multi.data)
+            return float(bundle.mean.data)
 
         for t in params.tensors.values():
             t.zero_grad()
-        obj.loss_bundle(md.mtl_forward(params, ids, mask), labels).l_multi.backward()
+        obj.loss_bundle(md.mtl_forward(params, ids, mask), labels).mean.backward()
         classifier_names = [n for n in params.tensors if not n.startswith("mlm.")]
         grads = {n: params.tensors[n].grad for n in classifier_names}
         _sampled_coordinate_check(params, classifier_names, multi_value, grads, rng)
@@ -118,8 +118,8 @@ def test_criterion_2_loss_identities():
             outputs = {t: ad.Tensor(rng.standard_normal((n, 2)) * 3) for t in dt.TASKS}
             labels = {t: rng.integers(0, 2, size=n) for t in dt.TASKS}
             bundle = obj.loss_bundle(outputs, labels)
-            mean = (bundle.l_toxic.item() + bundle.l_engage.item() + bundle.l_fact.item()) / 3
-            assert abs(bundle.l_multi.item() - mean) <= 1e-12
+            mean = sum(bundle.per_task[t].item() for t in dt.TASKS) / 3
+            assert abs(bundle.mean.item() - mean) <= 1e-12
 
         for _ in range(100):
             n = int(rng.integers(1, 9))

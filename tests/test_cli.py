@@ -567,6 +567,19 @@ def test_train_with_duplicate_ids_exits_2(workspace, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_with_a_repeated_header_column_exits_2(workspace, tmp_path, capsys):
+    _, data_path, config_path, vocab_path = workspace
+    with data_path.open(newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    repeated = tmp_path / "repeated.csv"  # the last Sub1_Toxic copy flips every toxic label
+    with repeated.open("w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows([header + ["Sub1_Toxic"]] + [row + [str(1 - int(row[2]))] for row in rows])
+    rc = cli.main(["train", "--config", str(config_path), "--data", str(repeated),
+                   "--vocab", str(vocab_path), "--out", str(tmp_path / "run")])
+    _one_line_error(capsys, rc, 2, "header names column 'Sub1_Toxic' more than once")
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("batch_size", ["0", "-1"])
 def test_predict_nonpositive_batch_size_exits_1(workspace, trained_run, tmp_path, capsys, batch_size):
     _, data_path, _, vocab_path = workspace

@@ -238,6 +238,7 @@ def test_every_loader_error_names_the_path(tmp_path, loader):
         "short.csv": (f"{HEADER}\nc1,ok,1,0\n", "line 2: "),
         "long.csv": (f"{HEADER}\nc1,ok,1,0,1,x\n", "line 2: "),
         "duplicate.csv": (f"{HEADER}\nc1,ok,1,0,1\nc1,ok,1,0,1\n", "line 3: "),
+        "dup_header.csv": (f"{HEADER},Sub1_Toxic\nc1,ok,1,0,1,0\n", "header names column 'Sub1_Toxic' "),
     }
     if loader != "load_texts":
         bad["label.csv"] = (f"{HEADER}\nc1,ok,2,0,1\n", "line 2: ")

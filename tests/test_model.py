@@ -179,7 +179,7 @@ def _classifier_pass(params, ids, mask, labels, rng, cls_only):
     if params.environment == md.STL:
         loss, logits = obj.task_loss(logits, labels[params.task]), {params.task: logits}
     else:
-        loss = obj.loss_bundle(logits, labels).l_multi
+        loss = obj.loss_bundle(logits, labels).mean
     params.tensors.grad[:] = 0.0
     loss.backward()
     grads = {name: t.grad.copy() for name, t in params.tensors.items()}
@@ -400,12 +400,12 @@ def test_end_to_end_multitask_gradients():
 
     def loss_value() -> float:
         bundle = obj.loss_bundle(md.mtl_forward(params, ids, mask), labels)
-        return float(bundle.l_multi.data)
+        return float(bundle.mean.data)
 
     for t in params.tensors.values():
         t.zero_grad()
     bundle = obj.loss_bundle(md.mtl_forward(params, ids, mask), labels)
-    bundle.l_multi.backward()
+    bundle.mean.backward()
 
     h = 1e-5
     checked = 0

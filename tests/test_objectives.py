@@ -76,30 +76,75 @@ def test_task_loss_rejects_bad_labels():
         obj.task_loss(ad.Tensor(np.zeros((0, 2))), [])
 
 
-def test_multi_loss_is_arithmetic_mean():
-    result = obj.multi_loss(ad.Tensor(0.3), ad.Tensor(0.6), ad.Tensor(0.9))
-    assert result.item() == pytest.approx(0.6)
-    same = obj.multi_loss(ad.Tensor(1.7), ad.Tensor(1.7), ad.Tensor(1.7))
-    assert same.item() == pytest.approx(1.7)
+def _logits_with_loss(value: float) -> np.ndarray:
+    """One row of head logits whose task loss at label 0 is ``value``."""
+    return np.array([[0.0, math.log(math.expm1(value))]])
 
 
-def test_multi_loss_permutation_symmetric():
-    vals = (0.25, 1.5, 3.0)
-    a = obj.multi_loss(*(ad.Tensor(v) for v in vals)).item()
-    b = obj.multi_loss(*(ad.Tensor(v) for v in (vals[2], vals[0], vals[1]))).item()
-    assert a == b
+def _value_and_grads(loss_of, logits: dict) -> tuple[float, dict]:
+    """The value of ``loss_of`` on fresh leaves holding ``logits``, and each leaf's grad."""
+    leaves = {t: ad.parameter(z.copy()) for t, z in logits.items()}
+    loss = loss_of(leaves)
+    loss.backward()
+    return loss.item(), {t: leaf.grad for t, leaf in leaves.items()}
 
 
-def test_multi_loss_gradient_is_one_third():
-    lt, le, lf = (ad.parameter(np.asarray(v)) for v in (0.3, 0.6, 0.9))
-    obj.multi_loss(lt, le, lf).backward()
-    for term in (lt, le, lf):
-        assert float(term.grad) == pytest.approx(1.0 / 3.0)
+def _random_heads(rng, tasks, n: int) -> tuple[dict, dict]:
+    return ({t: 3.0 * rng.standard_normal((n, 2)) for t in tasks},
+            {t: rng.integers(0, 2, size=n) for t in tasks})
 
 
-def test_multi_loss_rejects_non_scalars():
-    with pytest.raises(ValueError, match="scalar"):
-        obj.multi_loss(ad.Tensor(np.zeros(2)), ad.Tensor(0.0), ad.Tensor(0.0))
+def test_loss_bundle_is_arithmetic_mean():
+    labels = {t: [0] for t in TASKS}
+    outputs = {t: ad.Tensor(_logits_with_loss(v)) for t, v in zip(TASKS, (0.3, 0.6, 0.9))}
+    assert obj.loss_bundle(outputs, labels).mean.item() == pytest.approx(0.6)
+    same = {t: ad.Tensor(_logits_with_loss(1.7)) for t in TASKS}
+    assert obj.loss_bundle(same, labels).mean.item() == pytest.approx(1.7)
+
+
+def test_loss_bundle_permutation_symmetric():
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        logits, labels = _random_heads(rng, TASKS, int(rng.integers(1, 7)))
+        means = [obj.loss_bundle({t: ad.Tensor(logits[t]) for t in order}, labels).mean.item()
+                 for order in (TASKS, TASKS[::-1], TASKS[1:] + TASKS[:1])]
+        assert max(means) - min(means) <= 1e-12
+
+
+def test_loss_bundle_gradient_is_one_third():
+    logits = {t: _logits_with_loss(v) for t, v in zip(TASKS, (0.3, 0.6, 0.9))}
+    labels = {t: [0] for t in TASKS}
+    _, grads = _value_and_grads(lambda z: obj.loss_bundle(z, labels).mean, logits)
+    for t in TASKS:
+        _, alone = _value_and_grads(lambda z: obj.task_loss(z[t], labels[t]), {t: logits[t]})
+        assert np.allclose(grads[t], alone[t] / 3.0, rtol=1e-12, atol=0.0)
+
+
+def test_loss_bundle_of_one_head_is_its_task_loss():
+    rng = np.random.default_rng(7)
+    logits, labels = _random_heads(rng, ("engaging",), 6)
+    bundle = obj.loss_bundle({"engaging": ad.Tensor(logits["engaging"])}, labels)
+    assert list(bundle.per_task) == ["engaging"] and bundle.mean is bundle.per_task["engaging"]
+    got = _value_and_grads(lambda z: obj.loss_bundle(z, labels).mean, logits)
+    want = _value_and_grads(lambda z: obj.task_loss(z["engaging"], labels["engaging"]), logits)
+    assert got[0] == want[0] and np.array_equal(got[1]["engaging"], want[1]["engaging"])
+
+
+@pytest.mark.parametrize("tasks, reference", [
+    (TASKS, lambda a, b, c: ad.add(ad.add(a, b), c) / 3),
+    (TASKS[1:], lambda a, b: ad.add(a, b) / 2),
+], ids=["three-heads", "two-heads"])
+def test_loss_bundle_mean_is_the_left_fold_over_the_head_count(tasks, reference):
+    rng = np.random.default_rng(len(tasks))
+    for _ in range(10):
+        logits, labels = _random_heads(rng, tasks, int(rng.integers(1, 7)))
+        bundle = obj.loss_bundle({t: ad.Tensor(logits[t]) for t in tasks}, labels)
+        assert list(bundle.per_task) == list(tasks)
+        got = _value_and_grads(lambda z: obj.loss_bundle(z, labels).mean, logits)
+        want = _value_and_grads(lambda z: reference(*(obj.task_loss(z[t], labels[t]) for t in tasks)), logits)
+        assert got[0] == want[0]
+        for t in tasks:
+            assert np.array_equal(got[1][t], want[1][t])
 
 
 def test_loss_bundle_mean_identity():
@@ -109,9 +154,9 @@ def test_loss_bundle_mean_identity():
         outputs = {t: ad.Tensor(rng.standard_normal((n, 2))) for t in TASKS}
         labels = {t: rng.integers(0, 2, size=n) for t in TASKS}
         bundle = obj.loss_bundle(outputs, labels)
-        mean = (bundle.l_toxic.item() + bundle.l_engage.item() + bundle.l_fact.item()) / 3
-        assert abs(bundle.l_multi.item() - mean) <= 1e-12
-        assert bundle.task("engaging") is bundle.l_engage
+        mean = sum(bundle.per_task[t].item() for t in TASKS) / 3
+        assert abs(bundle.mean.item() - mean) <= 1e-12
+        assert bundle.per_task["engaging"].item() == obj.task_loss(outputs["engaging"], labels["engaging"]).item()
 
 
 def test_mlm_loss_all_ignored_warns_and_zero(caplog):

@@ -285,7 +285,7 @@ def test_every_op_the_model_builds_is_grad_checked_and_no_other():
 
     ad.reset_op_counts()
     mtl = md.init_model(cfg, md.MTL, with_mlm_head=True, seed=1)
-    obj.loss_bundle(md.mtl_forward(mtl, ids, mask, train_mode=True, rng=np.random.default_rng(1)), labels).l_multi.backward()
+    obj.loss_bundle(md.mtl_forward(mtl, ids, mask, train_mode=True, rng=np.random.default_rng(1)), labels).mean.backward()
     obj.mlm_loss(md.mlm_forward(mtl, ids, mask, train_mode=True, rng=np.random.default_rng(2)), mlm_labels).backward()
     stl = md.init_model(cfg, md.STL, task=md.TASKS[0], seed=1)
     obj.task_loss(md.stl_forward(stl, ids, mask, train_mode=True, rng=np.random.default_rng(3)), labels[md.TASKS[0]]).backward()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from germeval_mtl import autodiff as ad
 from germeval_mtl import data as dt
 from germeval_mtl import model as md
+from germeval_mtl import objectives as obj
 from germeval_mtl import tokenizer as tok
 from germeval_mtl import train as tr
 
@@ -448,6 +449,25 @@ def test_evaluate_model_runs_one_encoder_pass_per_batch(environment):
     assert ad.op_counts()["embedding_lookup"] == -(-len(val_ds) // 4)  # ceil: one per batch
     assert "cross_entropy" in ad.op_counts() and math.isfinite(loss)
     assert set(f1s) == set(params.head_tasks)
+
+
+@pytest.mark.parametrize("environment", [md.STL, md.MTL])
+def test_train_one_scores_every_micro_batch_with_the_one_objective(monkeypatch, environment):
+    examples, vocab, enc = make_setup(40)
+    train_ds, val_ds = encode_split(examples, vocab)  # 32 train: 8 micro-batches of 4
+    cfg = tr.TrainConfig(learning_rate=1e-3, num_epochs=2, batch_size=4, gradient_accumulation_steps=3,
+                         eval_every_batches=1000, environment=environment, seeds=(1,))
+    params = md.init_model(enc, environment, task="toxic" if environment == md.STL else None, seed=1)
+    heads = []
+    real = obj.loss_bundle
+
+    def counting(outputs, labels):
+        heads.append(tuple(outputs))
+        return real(outputs, labels)
+
+    monkeypatch.setattr(obj, "loss_bundle", counting)
+    tr.train_one(params, train_ds, val_ds, cfg, seed=1, val_metrics_fn=lambda p, step: (0.5, {}))
+    assert heads == [params.head_tasks] * (cfg.num_epochs * 8)
 
 
 def _count_adam_steps(monkeypatch) -> list:

@@ -64,7 +64,9 @@ def build_vocab(corpus: list[str], max_size: int = 8000, min_freq: int = 1) -> V
         best_score = max(score(p) for p in pair_freqs)
         left, right = min(p for p in pair_freqs if score(p) == best_score)
         merged = left + right[2:] if right.startswith("##") else left + right
-        # Distinct pairs can collapse to the same string; only add it once.
+        # Two distinct pairs never spell the same string, so this guard never
+        # fires. The oracle keeps it: were a string to repeat, the trainer's
+        # Vocab would refuse the duplicate and the property test would fail.
         if merged not in vocab_set:
             tokens.append(merged)
             vocab_set.add(merged)
