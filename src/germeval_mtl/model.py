@@ -214,17 +214,24 @@ def stack_batch(batch: list[EncodedInput]) -> tuple[np.ndarray, np.ndarray]:
 
 def encoder_forward(params: ModelParams, ids: np.ndarray, attention_mask: np.ndarray,
                     train_mode: bool = False, rng=None, cls_only: bool = False) -> ad.Tensor:
-    """Run the encoder stack; returns hidden states of shape (B, L, d).
+    """Run the encoder stack; returns hidden states of shape (B, w, d).
 
     Self-attention is padding-masked: keys at PAD positions receive a large
     negative score before the softmax. Dropout fires only in ``train_mode``
     and draws from ``rng`` (a ``np.random.Generator``), so evaluation is
     deterministic and training reproducible.
 
+    The stack runs over the first ``w`` columns only: one past the last
+    column any row attends to, rounded up to a multiple of 8 and capped at
+    L (L itself when no column is attended). The trimmed columns are
+    padding in every row, so no attended state depends on them. Every
+    dropout mask is still drawn at the padded shape, (B, L, d) or
+    (B, H, L, L), so ``rng`` advances exactly as for the full width.
+
     With ``cls_only`` the result is the CLS state alone, shape (B, 1, d):
     the last layer attends from position 0 only (its keys and values still
     come from every position), and its dropout masks are drawn at the full
-    shape, so ``rng`` advances exactly as in the full stack.
+    shape too.
     """
     cfg = params.config
     ids = np.asarray(ids, dtype=np.int64)
@@ -242,20 +249,25 @@ def encoder_forward(params: ModelParams, ids: np.ndarray, attention_mask: np.nda
         if not isinstance(rng, np.random.Generator):
             raise ValueError(f"train_mode forward needs rng to be a np.random.Generator, got {type(rng).__name__}")
 
-    def drop(x: ad.Tensor, draw_shape=None) -> ad.Tensor:
+    def drop(x: ad.Tensor, draw_shape: tuple) -> ad.Tensor:
         return ad.dropout(x, cfg.dropout, rng, draw_shape) if use_dropout else x
 
     t = params.tensors
     head_dim = cfg.d_model // cfg.n_heads
     scale = 1.0 / math.sqrt(head_dim)
-    full = (batch, seq, cfg.d_model)
-    # (B, 1, 1, L) additive bias: 0 on real tokens, very negative on PAD keys
+    full = (batch, seq, cfg.d_model)  # dropout draw shape: the padded width
+    attended = np.flatnonzero(attention_mask.any(axis=0))
+    last = int(attended[-1]) + 1 if attended.size else seq
+    # Multiples of 8 keep NumPy's pairwise row sums over the kept columns bit-equal to the padded ones
+    width = min(seq, -(-last // 8) * 8)
+    ids, attention_mask = ids[:, :width], attention_mask[:, :width]
+    # (B, 1, 1, w) additive bias: 0 on real tokens, very negative on PAD keys
     key_bias = ad.Tensor(((1.0 - attention_mask) * ATTENTION_MASK_BIAS)[:, None, None, :])
 
-    x = ad.reshape(ad.embedding_lookup(t["tok_emb"], ids.ravel()), full)
-    x = ad.add(x, t["pos_emb"][:seq])
+    x = ad.reshape(ad.embedding_lookup(t["tok_emb"], ids.ravel()), (batch, width, cfg.d_model))
+    x = ad.add(x, t["pos_emb"][:width])
     x = ad.layer_norm(x, t["emb_ln.g"], t["emb_ln.b"])
-    x = drop(x)
+    x = drop(x, full)
 
     def split_heads(y: ad.Tensor) -> ad.Tensor:
         y = ad.reshape(y, (batch, y.shape[1], cfg.n_heads, head_dim))
@@ -310,7 +322,7 @@ def mtl_forward(params: ModelParams, ids, attention_mask, train_mode: bool = Fal
 
 
 def mlm_forward(params: ModelParams, ids, attention_mask, train_mode: bool = False, rng=None) -> ad.Tensor:
-    """Per-position vocabulary logits (B, L, V) from the tied output head."""
+    """Per-position vocabulary logits (B, w, V) from the tied output head, over the encoder's trimmed width w."""
     if not params.has_mlm_head:
         raise ValueError("model was built without an MLM head")
     hidden = encoder_forward(params, ids, attention_mask, train_mode, rng)

@@ -53,16 +53,23 @@ def mlm_loss(logits: ad.Tensor, labels) -> ad.Tensor:
     """Mean cross-entropy over the positions selected for masking.
 
     ``labels`` holds original token ids at selected positions and
-    IGNORE_INDEX elsewhere; only those rows of the logits are scored. A
-    batch with nothing selected yields a constant 0 loss (and a warning)
-    instead of an error, so tiny corpora cannot derail the LM stage.
+    IGNORE_INDEX elsewhere; only those rows of the logits are scored. The
+    labels may be wider than the logits, (B, L) against (B, w, V) from an
+    encoder that trimmed trailing padding, as long as no trimmed column is
+    selected. A batch with nothing selected yields a constant 0 loss (and
+    a warning) instead of an error, so tiny corpora cannot derail the LM
+    stage.
     """
     if logits.ndim != 3:
         raise ValueError(f"mlm logits must be (batch, seq, vocab), got {logits.shape}")
-    labels = np.asarray(labels, dtype=np.int64).ravel()
+    labels = np.asarray(labels, dtype=np.int64)
     batch, seq, vocab = logits.shape
-    if labels.size != batch * seq:
+    if labels.size % batch or labels.size < batch * seq:
         raise ValueError(f"got {labels.size} labels for {batch * seq} positions")
+    labels = labels.reshape(batch, -1)
+    if (labels[:, seq:] != IGNORE_INDEX).any():
+        raise ValueError(f"a label is selected past the {seq} encoded columns of the logits")
+    labels = labels[:, :seq].ravel()
     rows = np.flatnonzero(labels != IGNORE_INDEX)
     if rows.size == 0:
         logger.warning("masked-LM batch has no selected positions; loss is 0")

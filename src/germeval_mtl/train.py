@@ -310,10 +310,11 @@ def mlm_top1_accuracy(params: md.ModelParams, corpus: list, vocab: tok.Vocab, ma
     encoded = [tok.encode(vocab, text, max_len) for text in corpus]
     hits = total = 0
     with ad.no_grad():
-        for start in range(0, len(encoded), 8):  # (B, L, V) logits no larger than a default-size LM step's
+        for start in range(0, len(encoded), 8):  # (B, w, V) logits no larger than a default-size LM step's
             ids, attn, labels = _masked_batch(vocab, encoded, range(len(encoded))[start:start + 8], (seed, 23))
-            chosen = labels != tok.IGNORE_INDEX
             picks = md.mlm_forward(params, ids, attn).data.argmax(axis=-1)
+            labels = labels[:, :picks.shape[-1]]  # trimmed columns are padding: nothing there is masked
+            chosen = labels != tok.IGNORE_INDEX
             hits += int((picks[chosen] == labels[chosen]).sum())
             total += int(chosen.sum())
     return hits / total if total else 0.0

@@ -223,6 +223,81 @@ def test_mtl_head_isolation():
     assert np.array_equal(before["fact_claiming"], after["fact_claiming"])
 
 
+def _rows_of_lengths(rng, lengths, seq, vocab):
+    """CLS ... SEP rows of the given lengths, PAD after them."""
+    ids = np.full((len(lengths), seq), tok.PAD_ID)
+    mask = np.zeros((len(lengths), seq))
+    for row, n in enumerate(lengths):
+        ids[row, :n] = [tok.CLS_ID, *rng.integers(5, vocab, size=n - 2), tok.SEP_ID]
+        mask[row, :n] = 1.0
+    return ids, mask
+
+
+def _trim_pass(params, ids, mask, mlm_labels, labels, n_rows):
+    """Hidden states, head logits, MLM loss and arena grads, scored on the first ``n_rows`` rows."""
+    params.tensors.grad[:] = 0.0
+    hidden = md.encoder_forward(params, ids, mask).data
+    logits = {t: z[:n_rows] for t, z in md.mtl_forward(params, ids, mask).items()}
+    mlm = obj.mlm_loss(md.mlm_forward(params, ids, mask), mlm_labels)
+    ad.add(mlm, obj.loss_bundle(logits, labels).mean).backward()
+    grads = {name: t.grad.copy() for name, t in params.tensors.items()}
+    return hidden[:n_rows], {t: z.data for t, z in logits.items()}, mlm.item(), grads
+
+
+@pytest.mark.parametrize("seq, lengths, width", [(24, (5, 9, 3), 16), (120, (7, 30, 12, 4), 32), (10, (4, 3), 8)])
+def test_trimmed_batch_matches_the_full_width(seq, lengths, width):
+    cfg = md.EncoderConfig(vocab_size=40, d_model=16, n_layers=2, n_heads=4, d_ff=32, max_seq_len=seq, dropout=0.0)
+    params = md.init_model(cfg, md.MTL, with_mlm_head=True, seed=seq)
+    rng = np.random.default_rng(seq)
+    ids, mask = _rows_of_lengths(rng, (*lengths, seq), seq, cfg.vocab_size)  # the last row fills L
+    n = len(lengths)
+    mlm_labels = np.full(ids.shape, tok.IGNORE_INDEX)
+    for row, length in enumerate(lengths):
+        mlm_labels[row, 1:length - 1:2] = rng.integers(5, cfg.vocab_size, size=len(range(1, length - 1, 2)))
+    labels = {t: rng.integers(0, 2, size=n) for t in TASKS}
+
+    assert md.encoder_forward(params, ids[:n], mask[:n]).shape == (n, width, cfg.d_model)
+    assert md.mlm_forward(params, ids[:n], mask[:n]).shape == (n, width, cfg.vocab_size)
+    short = _trim_pass(params, ids[:n], mask[:n], mlm_labels[:n], labels, n)
+    full = _trim_pass(params, ids, mask, mlm_labels, labels, n)  # w = L
+    real = mask[:n, :width].astype(bool)
+
+    def close(a, b):
+        return np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+
+    assert close(short[0][real], full[0][:, :width][real])
+    assert all(close(short[1][t], full[1][t]) for t in TASKS)
+    assert abs(short[2] - full[2]) <= 1e-10 * abs(full[2])
+    largest = max(np.abs(g).max() for g in full[3].values())
+    for name, grad in full[3].items():
+        # A key bias shifts all of a query's scores alike, so its true grad is 0 and both
+        # paths hold rounding noise: measure it against the model's largest grad.
+        scale = largest if name.endswith("attn.bk") else np.abs(grad).max()
+        assert np.abs(short[3][name] - grad).max() <= 1e-10 * scale, name
+
+
+def test_trimmed_forward_draws_dropout_at_the_padded_shape():
+    cfg = md.EncoderConfig(vocab_size=40, d_model=16, n_layers=2, n_heads=4, d_ff=32, max_seq_len=24, dropout=0.1)
+    params = md.init_model(cfg, md.MTL, with_mlm_head=True, seed=4)
+    ids, mask = _rows_of_lengths(np.random.default_rng(4), (6, 3), 24, cfg.vocab_size)
+    for forward in (md.encoder_forward, md.mtl_forward, md.mlm_forward):
+        rng, reference = np.random.default_rng(9), np.random.default_rng(9)
+        forward(params, ids, mask, True, rng)
+        reference.random((2, 24, cfg.d_model))
+        for _ in range(cfg.n_layers):
+            for shape in ((2, cfg.n_heads, 24, 24), (2, 24, cfg.d_model), (2, 24, cfg.d_model)):
+                reference.random(shape)
+        assert rng.bit_generator.state == reference.bit_generator.state, forward.__name__
+
+
+def test_batch_that_fills_the_length_or_attends_nowhere_keeps_the_full_width():
+    params = md.init_model(TINY, md.MTL, seed=12)
+    ids, mask = _rows_of_lengths(np.random.default_rng(12), (10, 4), 10, TINY.vocab_size)
+    assert md.encoder_forward(params, ids, mask).shape == (2, 10, TINY.d_model)
+    assert md.encoder_forward(params, ids, np.zeros_like(mask)).shape == (2, 10, TINY.d_model)
+    assert md.encoder_forward(params, ids[:, :9], np.zeros((2, 9))).shape == (2, 9, TINY.d_model)
+
+
 def test_mlm_forward_shape_and_guard():
     params = md.init_model(TINY, md.MTL, with_mlm_head=True, seed=10)
     ids, mask = make_batch(np.random.default_rng(10))

@@ -210,6 +210,17 @@ def test_mlm_loss_shape_validation():
         obj.mlm_loss(ad.Tensor(np.zeros((1, 3, 5))), [0, 0])
 
 
+def test_mlm_loss_takes_labels_wider_than_trimmed_logits():
+    rng = np.random.default_rng(6)
+    logits = ad.Tensor(rng.standard_normal((2, 3, 5)))
+    labels = np.full((2, 6), IGNORE_INDEX)
+    labels[0, 1], labels[1, 2] = 4, 0
+    assert obj.mlm_loss(logits, labels).item() == obj.mlm_loss(logits, labels[:, :3]).item()
+    labels[1, 4] = 2  # a label in a column the encoder trimmed
+    with pytest.raises(ValueError, match="past the 3 encoded columns"):
+        obj.mlm_loss(logits, labels)
+
+
 def reference_mlm_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Loss and logits grad that score every position, then average over the labelled ones."""
     z = logits.reshape(-1, logits.shape[-1])

@@ -318,6 +318,7 @@ def per_text_mlm_top1_accuracy(params, corpus, vocab, max_len, seed):
                 continue
             ids, attn = md.stack_batch([masked])
             picks = md.mlm_forward(params, ids, attn).data[0].argmax(axis=-1)
+            labels = labels[:picks.shape[-1]]
             chosen = labels != tok.IGNORE_INDEX
             hits += int((picks[chosen] == labels[chosen]).sum())
             total += int(chosen.sum())
