@@ -222,11 +222,14 @@ def encoder_forward(params: ModelParams, ids: np.ndarray, attention_mask: np.nda
     deterministic and training reproducible.
 
     The stack runs over the first ``w`` columns only: one past the last
-    column any row attends to, rounded up to a multiple of 8 and capped at
-    L (L itself when no column is attended). The trimmed columns are
-    padding in every row, so no attended state depends on them. Every
-    dropout mask is still drawn at the padded shape, (B, L, d) or
-    (B, H, L, L), so ``rng`` advances exactly as for the full width.
+    column any row attends to, rounded up to a multiple of 8 in
+    ``train_mode`` and of 32 in eval mode, and capped at L (L itself when
+    no column is attended). The trimmed columns are padding in every row,
+    so no attended state depends on them. Every dropout mask is still
+    drawn at the padded shape, (B, L, d) or (B, H, L, L), so ``rng``
+    advances exactly as for the full width. The coarser eval step keeps
+    the cost of evaluation and prediction from following where a
+    dataset's few longest rows fall.
 
     With ``cls_only`` the result is the CLS state alone, shape (B, 1, d):
     the last layer attends from position 0 only (its keys and values still
@@ -259,7 +262,8 @@ def encoder_forward(params: ModelParams, ids: np.ndarray, attention_mask: np.nda
     attended = np.flatnonzero(attention_mask.any(axis=0))
     last = int(attended[-1]) + 1 if attended.size else seq
     # Multiples of 8 keep NumPy's pairwise row sums over the kept columns bit-equal to the padded ones
-    width = min(seq, -(-last // 8) * 8)
+    step = 8 if train_mode else 32
+    width = min(seq, -(-last // step) * step)
     ids, attention_mask = ids[:, :width], attention_mask[:, :width]
     # (B, 1, 1, w) additive bias: 0 on real tokens, very negative on PAD keys
     key_bias = ad.Tensor(((1.0 - attention_mask) * ATTENTION_MASK_BIAS)[:, None, None, :])

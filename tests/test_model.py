@@ -234,11 +234,11 @@ def _rows_of_lengths(rng, lengths, seq, vocab):
 
 
 def _trim_pass(params, ids, mask, mlm_labels, labels, n_rows):
-    """Hidden states, head logits, MLM loss and arena grads, scored on the first ``n_rows`` rows."""
+    """Train-mode hidden states, head logits, MLM loss and arena grads, scored on the first ``n_rows`` rows."""
     params.tensors.grad[:] = 0.0
-    hidden = md.encoder_forward(params, ids, mask).data
-    logits = {t: z[:n_rows] for t, z in md.mtl_forward(params, ids, mask).items()}
-    mlm = obj.mlm_loss(md.mlm_forward(params, ids, mask), mlm_labels)
+    hidden = md.encoder_forward(params, ids, mask, True).data
+    logits = {t: z[:n_rows] for t, z in md.mtl_forward(params, ids, mask, True).items()}
+    mlm = obj.mlm_loss(md.mlm_forward(params, ids, mask, True), mlm_labels)
     ad.add(mlm, obj.loss_bundle(logits, labels).mean).backward()
     grads = {name: t.grad.copy() for name, t in params.tensors.items()}
     return hidden[:n_rows], {t: z.data for t, z in logits.items()}, mlm.item(), grads
@@ -256,8 +256,8 @@ def test_trimmed_batch_matches_the_full_width(seq, lengths, width):
         mlm_labels[row, 1:length - 1:2] = rng.integers(5, cfg.vocab_size, size=len(range(1, length - 1, 2)))
     labels = {t: rng.integers(0, 2, size=n) for t in TASKS}
 
-    assert md.encoder_forward(params, ids[:n], mask[:n]).shape == (n, width, cfg.d_model)
-    assert md.mlm_forward(params, ids[:n], mask[:n]).shape == (n, width, cfg.vocab_size)
+    assert md.encoder_forward(params, ids[:n], mask[:n], True).shape == (n, width, cfg.d_model)
+    assert md.mlm_forward(params, ids[:n], mask[:n], True).shape == (n, width, cfg.vocab_size)
     short = _trim_pass(params, ids[:n], mask[:n], mlm_labels[:n], labels, n)
     full = _trim_pass(params, ids, mask, mlm_labels, labels, n)  # w = L
     real = mask[:n, :width].astype(bool)
@@ -296,6 +296,16 @@ def test_batch_that_fills_the_length_or_attends_nowhere_keeps_the_full_width():
     assert md.encoder_forward(params, ids, mask).shape == (2, 10, TINY.d_model)
     assert md.encoder_forward(params, ids, np.zeros_like(mask)).shape == (2, 10, TINY.d_model)
     assert md.encoder_forward(params, ids[:, :9], np.zeros((2, 9))).shape == (2, 9, TINY.d_model)
+
+
+def test_eval_mode_pass_trims_in_steps_of_32():
+    cfg = md.EncoderConfig(vocab_size=23, d_model=16, n_layers=2, n_heads=4, d_ff=32, max_seq_len=80, dropout=0.1)
+    params = md.init_model(cfg, md.MTL, with_mlm_head=True, seed=13)
+    for lengths, train_width, eval_width in (((4, 3), 8, 32), ((30, 17), 32, 32), ((33, 9), 40, 64), ((70,), 72, 80)):
+        ids, mask = _rows_of_lengths(np.random.default_rng(13), lengths, 80, cfg.vocab_size)
+        assert md.encoder_forward(params, ids, mask, True, np.random.default_rng(0)).shape[1] == train_width
+        assert md.encoder_forward(params, ids, mask).shape[1] == eval_width
+        assert md.mlm_forward(params, ids, mask).shape == (len(lengths), eval_width, cfg.vocab_size)
 
 
 def test_mlm_forward_shape_and_guard():
