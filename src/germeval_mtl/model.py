@@ -118,8 +118,7 @@ class ModelParams:
     """All learnable tensors plus the environment they were built for.
 
     Each tensor is a view of one zeroed float64 data and grad arena laid out in
-    GROUPS order. ``tensors`` iterates encoder, mlm, heads, which fixes the
-    order of the clip norm's sum."""
+    GROUPS order, and ``tensors`` iterates in that order."""
 
     def __init__(self, config: EncoderConfig, environment: str, task: str | None, has_mlm_head: bool):
         if environment not in (STL, MTL):
@@ -131,17 +130,16 @@ class ModelParams:
         self.layout = _layout(config, self.head_tasks, has_mlm_head)
         size = sum(math.prod(shape) for g in GROUPS for _, shape, _ in self.layout[g])
         data, grad = np.zeros(size), np.zeros(size)
-        views, self.bounds, offset = {}, {}, 0
+        tensors, self.bounds, offset = {}, {}, 0
         for g in GROUPS:
             start = offset
             for name, shape, _ in self.layout[g]:
                 stop = offset + math.prod(shape)
-                views[name] = ad.parameter(data[offset:stop].reshape(shape))
-                views[name].grad = grad[offset:stop].reshape(shape)
+                tensors[name] = ad.parameter(data[offset:stop].reshape(shape))
+                tensors[name].grad = grad[offset:stop].reshape(shape)
                 offset = stop
             self.bounds[g] = slice(start, offset)
-        order = [name for g in ("encoder", "mlm", "heads") for name, _, _ in self.layout[g]]
-        self.tensors = ParamGroup({name: views[name] for name in order}, data, grad)
+        self.tensors = ParamGroup(tensors, data, grad)
 
     @property
     def head_tasks(self) -> tuple:

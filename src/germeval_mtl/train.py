@@ -97,8 +97,8 @@ class AdamState:
 
 def clip_by_global_norm(tensors: md.ParamGroup, max_norm: float) -> float:
     """Scale the group's grads in place by max_norm/norm when their global norm exceeds
-    it; returns that norm, summed from per-tensor partial sums in the group's order."""
-    norm = math.sqrt(sum(float((t.grad * t.grad).sum()) for t in tensors.values()))
+    it; returns that norm, one dot product over the group's grad slice."""
+    norm = math.sqrt(float(tensors.grad @ tensors.grad))
     if norm > max_norm:
         tensors.grad *= max_norm / norm
     return norm

@@ -411,6 +411,15 @@ def test_every_tensor_stays_a_view_of_the_arena(tmp_path):
     assert np.array_equal(loaded.tensors.data, params.tensors.data)
 
 
+@pytest.mark.parametrize("environment, task, mlm", [(md.STL, "toxic", False), (md.MTL, None, False),
+                                                    (md.MTL, None, True)])
+def test_tensors_iterate_in_arena_order(environment, task, mlm):
+    params = md.ModelParams(TINY, environment, task, mlm)
+    assert list(params.tensors) == [name for g in md.GROUPS for name, _, _ in params.layout[g]]
+    params.tensors.data[:] = np.arange(params.tensors.data.size)
+    assert np.array_equal(np.concatenate([t.data.ravel() for t in params.tensors.values()]), params.tensors.data)
+
+
 def test_optimizer_groups_are_single_slices():
     params = md.init_model(TINY, md.MTL, with_mlm_head=True, seed=1)
     for groups, excluded in ((("heads", "encoder"), "mlm."), (("encoder", "mlm"), "head.")):

@@ -93,6 +93,16 @@ def test_clip_by_global_norm():
     assert small["a"].grad[0] == 0.3  # untouched below the threshold
 
 
+def test_clip_norm_over_the_slice_matches_the_per_tensor_sum():
+    rng = np.random.default_rng(0)
+    params = md.init_model(md.EncoderConfig(vocab_size=50, **TINY), md.MTL, with_mlm_head=True)
+    for scale in (1e-6, 1.0, 1e3):
+        params.tensors.grad[:] = rng.standard_normal(params.tensors.grad.size) * scale
+        group = params.group("heads", "encoder")
+        per_tensor = math.sqrt(sum(float((t.grad * t.grad).sum()) for t in group.values()))
+        assert tr.clip_by_global_norm(group, math.inf) == pytest.approx(per_tensor, rel=1e-14, abs=0)
+
+
 def test_adam_zero_gradients_leave_params():
     group = arena(w=[1.0, -2.0])
     tr.adam_step(group, tr.AdamState(), 0.1, tr.TrainConfig())
