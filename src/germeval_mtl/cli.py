@@ -199,14 +199,6 @@ def _prepare(args):
     return train_cfg, enc_cfg, vocab, resolved, config_hash(resolved)
 
 
-def _check_warmup(cfg: tr.TrainConfig, n: int) -> None:
-    """Refuse ``warmup_steps`` past the run's optimizer steps: the rate would never reach its peak."""
-    total = cfg.num_epochs * tr._steps_per_epoch(n, cfg)
-    if cfg.warmup_steps > total:
-        raise ConfigError(f"warmup_steps {cfg.warmup_steps} exceeds the {total} optimizer steps"
-                          f" of {cfg.num_epochs} epochs over {n} rows")
-
-
 def cmd_pretrain_lm(args) -> int:
     out = _output_path(args.out)
     train_cfg, enc_cfg, vocab, resolved, cfg_hash = _prepare(args)
@@ -214,7 +206,6 @@ def cmd_pretrain_lm(args) -> int:
     corpus = [ex.text for ex in examples]
     if not corpus:
         raise DataError(f"{args.data}: no rows to pretrain on")
-    _check_warmup(train_cfg, len(corpus))
     seed = train_cfg.seeds[0]
     params = md.init_model(enc_cfg, md.MTL, with_mlm_head=True, seed=seed)
     tr.lm_finetune(params, corpus, vocab, train_cfg, seed, resolved["max_len"])
@@ -240,7 +231,6 @@ def cmd_train(args) -> int:
     if not (train_ex and val_ex):
         raise DataError(f"{args.data}: {len(examples)} examples leave the train or validation side"
                         f" of the {split_ratio} split empty")
-    _check_warmup(train_cfg, len(train_ex))
     vocab_hash = file_hash(args.vocab)
 
     result = tr.run_experiment(train_cfg, examples, vocab, enc_cfg, max_len=resolved["max_len"],

@@ -32,7 +32,6 @@ class TrainConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     warmup_ratio: float = 0.1
-    warmup_steps: int = 0
     max_grad_norm: float = 1.0
     batch_size: int = 8
     eval_every_batches: int = 100
@@ -56,8 +55,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1)")
         if not 0.0 <= self.warmup_ratio <= 1.0:
             raise ValueError(f"warmup_ratio must be in [0, 1], got {self.warmup_ratio}")
-        if self.warmup_steps < 0:
-            raise ValueError("warmup_steps must be nonnegative")
         if self.batch_size < 1 or self.num_epochs < 1 or self.gradient_accumulation_steps < 1:
             raise ValueError("batch_size, num_epochs, gradient_accumulation_steps must be >= 1")
         if self.early_stop_patience_evals < 1 or self.eval_every_batches < 1:
@@ -126,12 +123,12 @@ def adam_step(tensors: md.ParamGroup, state: AdamState, lr_t: float, cfg: TrainC
 
 
 def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
-    """Linear warmup to the peak rate, then linear decay to zero."""
+    """Linear warmup to the peak rate, then linear decay to zero; without warmup, step 0 is the peak."""
     if not 0 <= step <= total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
-    warmup = cfg.warmup_steps if cfg.warmup_steps > 0 else math.ceil(cfg.warmup_ratio * total_steps)
-    if step <= warmup:
-        return cfg.learning_rate * step / max(warmup, 1)
+    warmup = math.ceil(cfg.warmup_ratio * total_steps)
+    if step <= warmup and warmup > 0:
+        return cfg.learning_rate * step / warmup
     return cfg.learning_rate * (total_steps - step) / max(total_steps - warmup, 1)
 
 

@@ -603,6 +603,7 @@ def test_predict_nonpositive_batch_size_exits_1(workspace, trained_run, tmp_path
     "train --set max_grad_norm=nan",
     "train --set adam_beta1=1.5",
     "train --set adam_beta2=1",
+    "train --set warmup_steps=4",
     "train --seeds -1",
     "train --seeds 1,1",
     "train --split-seed -1",
@@ -622,37 +623,6 @@ def test_out_of_range_setting_exits_1(workspace, tmp_path, capsys, argv):
                    "--vocab", str(vocab_path), "--out", str(out)])
     _one_line_error(capsys, rc, 1, "config error")
     assert not out_dir.exists()
-
-
-class _Started(Exception):
-    """Raised by a stubbed training stage: the command got past its checks."""
-
-
-@pytest.mark.parametrize("command, stage", [("train", "run_experiment"), ("pretrain-lm", "lm_finetune")])
-def test_warmup_steps_past_the_run_exits_1_before_training(workspace, tmp_path, capsys, monkeypatch, command, stage):
-    _, data_path, config_path, vocab_path = workspace
-    examples = dt.load_dataset(data_path)
-    cfg = cli._prepare(cli.build_parser().parse_args(
-        [command, "--config", str(config_path), "--data", str(data_path), "--vocab", str(vocab_path),
-         "--out", str(tmp_path / "unused")]))[0]
-    rows = len(dt.split(examples, 0.8, cfg.split_seed)[0]) if command == "train" else len(examples)
-    total = cfg.num_epochs * tr._steps_per_epoch(rows, cfg)
-
-    def started(*args, **kwargs):
-        raise _Started
-
-    monkeypatch.setattr(tr, stage, started)
-    out_dir = tmp_path / "run"
-    out = out_dir / "lm.npz" if command == "pretrain-lm" else out_dir
-
-    def run(warmup_steps):
-        return cli.main([command, "--config", str(config_path), "--set", f"warmup_steps={warmup_steps}",
-                         "--data", str(data_path), "--vocab", str(vocab_path), "--out", str(out)])
-
-    _one_line_error(capsys, run(total + 1), 1, f"warmup_steps {total + 1} exceeds the {total} optimizer steps")
-    assert not out_dir.exists()
-    with pytest.raises(_Started):  # a warmup that ends on the last step is allowed
-        run(total)
 
 
 def test_evaluate_without_a_shared_task_exits_2(trained_run, tmp_path, capsys):

@@ -33,7 +33,6 @@ def test_train_config_defaults_match_published_setup():
     assert cfg.num_epochs == 3
     assert cfg.adam_epsilon == 1e-8
     assert cfg.warmup_ratio == 0.1
-    assert cfg.warmup_steps == 0
     assert cfg.max_grad_norm == 1.0
     assert cfg.batch_size == 8
     assert cfg.eval_every_batches == 100
@@ -137,10 +136,9 @@ def test_lr_schedule_endpoints_and_peak():
     assert tr.lr_at(55, 100, cfg) == pytest.approx(1e-5 * (100 - 55) / 90)
 
 
-def test_lr_schedule_explicit_warmup_steps_override():
-    cfg = tr.TrainConfig(learning_rate=2e-4, warmup_ratio=0.1, warmup_steps=4)
-    assert tr.lr_at(4, 100, cfg) == pytest.approx(2e-4)
-    assert tr.lr_at(2, 100, cfg) == pytest.approx(1e-4)
+def test_lr_schedule_without_warmup_starts_at_the_peak():
+    cfg = tr.TrainConfig(learning_rate=1e-3, warmup_ratio=0)
+    assert [tr.lr_at(s, 5, cfg) for s in range(6)] == pytest.approx([1e-3, 8e-4, 6e-4, 4e-4, 2e-4, 0.0])
 
 
 def test_lr_schedule_bounds():
@@ -511,6 +509,25 @@ def test_both_stages_flush_partial_windows(monkeypatch):
     carrier = md.init_model(enc, md.MTL, with_mlm_head=True, seed=2)
     tr.lm_finetune(carrier, corpus, vocab, lm_cfg, seed=2, max_len=24)
     assert len(calls) == lm_cfg.num_epochs * tr._steps_per_epoch(len(corpus), lm_cfg) == 6
+
+
+def test_train_one_without_warmup_takes_its_first_step_at_the_peak_rate(monkeypatch):
+    examples, vocab, enc = make_setup(40)
+    train_ds, val_ds = encode_split(examples, vocab)  # 32 train: 8 steps of 4
+    cfg = tr.TrainConfig(learning_rate=1e-3, num_epochs=1, batch_size=4, warmup_ratio=0,
+                         eval_every_batches=1000, environment="mtl", seeds=(1,))
+    rates = []
+    real = tr.adam_step
+
+    def recording(tensors, state, lr_t, cfg):
+        rates.append(lr_t)
+        return real(tensors, state, lr_t, cfg)
+
+    monkeypatch.setattr(tr, "adam_step", recording)
+    tr.train_one(md.init_model(enc, md.MTL, seed=1), train_ds, val_ds, cfg, seed=1,
+                 val_metrics_fn=lambda p, step: (0.5, {}))
+    assert rates == pytest.approx([1e-3 * (8 - s) / 8 for s in range(8)])
+    assert rates[0] == cfg.learning_rate
 
 
 def test_train_one_takes_no_step_after_early_stop(monkeypatch):
