@@ -127,7 +127,7 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
     if not 0 <= step <= total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
     warmup = math.ceil(cfg.warmup_ratio * total_steps)
-    if step <= warmup and warmup > 0:
+    if warmup > 0 and step <= warmup:
         return cfg.learning_rate * step / warmup
     return cfg.learning_rate * (total_steps - step) / max(total_steps - warmup, 1)
 
