@@ -86,40 +86,68 @@ class RunRecord:
 
 @dataclass
 class AdamState:
-    """Step count and the first/second moments of one parameter group's slice."""
+    """Step count, the first/second moments of one parameter group's slice, and two
+    scratch buffers of the same size; all four are allocated on the first step."""
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+    t: np.ndarray | None = None
+    s: np.ndarray | None = None
+
+
+def _non_finite_message(tensors: md.ParamGroup) -> str:
+    """Why the group's squared grad norm is not finite: a non-finite element, or overflow."""
+    bad = next((name for name, t in tensors.items() if not np.isfinite(t.grad).all()), None)
+    if bad is not None:
+        return f"non-finite gradient in parameter {bad!r}"
+    largest = max(tensors.items(), key=lambda item: float(np.abs(item[1].grad).max(initial=0.0)))[0]
+    return f"gradient norm overflowed; the largest |grad| is in parameter {largest!r}"
 
 
 def clip_by_global_norm(tensors: md.ParamGroup, max_norm: float) -> float:
     """Scale the group's grads in place by max_norm/norm when their global norm exceeds
-    it; returns that norm, one dot product over the group's grad slice."""
+    it; returns that norm, one dot product over the group's grad slice.
+
+    A finite sum of squares proves every element finite, so a non-finite norm (a
+    non-finite element, or squares that overflow) raises NumericError instead of
+    scaling every grad to zero or NaN.
+    """
     norm = math.sqrt(float(tensors.grad @ tensors.grad))
+    if not math.isfinite(norm):
+        raise NumericError(_non_finite_message(tensors))
     if norm > max_norm:
         tensors.grad *= max_norm / norm
     return norm
 
 
 def adam_step(tensors: md.ParamGroup, state: AdamState, lr_t: float, cfg: TrainConfig) -> None:
-    """Global-norm clip, bias-corrected Adam update, grad reset: in place on the group's slices."""
+    """Global-norm clip, bias-corrected Adam update, grad reset: in place on the group's slices.
+
+    Each ufunc writes into ``m``, ``v`` or a scratch buffer, in the left-to-right
+    order of ``m / (1 - b1**k) / (sqrt(v / (1 - b2**k)) + eps)``, so a step makes
+    no arena-sized temporary and rounds exactly as that expression does.
+    """
     g = tensors.grad
-    if not np.isfinite(g).all():
-        bad = next(name for name, t in tensors.items() if not np.isfinite(t.grad).all())
-        raise NumericError(f"non-finite gradient in parameter {bad!r}")
     clip_by_global_norm(tensors, cfg.max_grad_norm)
 
     state.step += 1
     if state.m is None:
-        state.m, state.v = np.zeros_like(g), np.zeros_like(g)
-    b1, b2, m, v = cfg.adam_beta1, cfg.adam_beta2, state.m, state.v
+        state.m, state.v, state.t, state.s = (np.zeros_like(g) for _ in range(4))
+    b1, b2, m, v, t, s = cfg.adam_beta1, cfg.adam_beta2, state.m, state.v, state.t, state.s
     m *= b1
-    m += (1.0 - b1) * g
+    m += np.multiply(g, 1.0 - b1, out=t)
     v *= b2
-    v += (1.0 - b2) * g * g
-    update = (m / (1.0 - b1**state.step)) / (np.sqrt(v / (1.0 - b2**state.step)) + cfg.adam_epsilon)
-    tensors.data -= lr_t * update
-    g[...] = 0.0
+    np.multiply(g, 1.0 - b2, out=t)
+    t *= g
+    v += t
+    np.divide(m, 1.0 - b1**state.step, out=t)
+    np.divide(v, 1.0 - b2**state.step, out=s)
+    np.sqrt(s, out=s)
+    s += cfg.adam_epsilon
+    t /= s
+    t *= lr_t
+    tensors.data -= t
+    g.fill(0.0)
 
 
 def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:

@@ -108,6 +108,24 @@ def test_numeric_blowup_exits_3(workspace, tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_a_gradient_norm_that_overflows_exits_3(workspace, tmp_path, capsys, monkeypatch):
+    root, data_path, config_path, vocab_path = workspace
+    real = tr.clip_by_global_norm
+
+    def with_one_huge_element(tensors, max_norm):
+        tensors.grad[0] = 1e200  # finite, but its square overflows the norm's sum
+        return real(tensors, max_norm)
+
+    monkeypatch.setattr(tr, "clip_by_global_norm", with_one_huge_element)
+    out = tmp_path / "overflow"
+    rc = cli.main([
+        "train", "--config", str(config_path), "--seeds", "1",
+        "--data", str(data_path), "--vocab", str(vocab_path), "--out", str(out),
+    ])
+    _one_line_error(capsys, rc, 3, "numeric failure: gradient norm overflowed")
+    assert not out.exists()
+
+
 def test_invalid_config_value_exits_before_training(workspace, tmp_path, capsys):
     root, data_path, config_path, vocab_path = workspace
     out = tmp_path / "run"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,69 @@ def test_adam_rejects_non_finite_gradient():
     group["w"].grad[0] = np.nan
     with pytest.raises(tr.NumericError, match="'w'"):
         tr.adam_step(group, tr.AdamState(), 0.1, tr.TrainConfig())
+
+
+def test_adam_rejects_a_gradient_whose_squared_norm_overflows():
+    group = arena(v=[1.0, 2.0], w=[1.0])
+    group["v"].grad[:] = [1e-3, 1e200]  # finite, but its square is not
+    group["w"].grad[0] = 1.0
+    with np.errstate(over="ignore"), pytest.raises(tr.NumericError, match="overflowed.*'v'"):
+        tr.adam_step(group, tr.AdamState(), 0.1, tr.TrainConfig())
+    assert np.array_equal(group["v"].data, [1.0, 2.0]) and group["v"].grad[1] == 1e200  # nothing scaled
+
+
+def _reference_adam_step(group: md.ParamGroup, state: dict, lr_t: float, cfg: tr.TrainConfig) -> None:
+    """The update as one expression per moment, each building its own temporaries."""
+    g = group.grad
+    norm = math.sqrt(float(g @ g))
+    if norm > cfg.max_grad_norm:
+        g *= cfg.max_grad_norm / norm
+    state["step"] += 1
+    b1, b2, m, v = cfg.adam_beta1, cfg.adam_beta2, state["m"], state["v"]
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    update = (m / (1.0 - b1**state["step"])) / (np.sqrt(v / (1.0 - b2**state["step"])) + cfg.adam_epsilon)
+    group.data -= lr_t * update
+    g[...] = 0.0
+
+
+def test_in_place_adam_is_bit_identical_to_the_expression_form():
+    rng = np.random.default_rng(7)
+    cfg = tr.TrainConfig(max_grad_norm=1.0)
+    n = 5000
+    ours, ref = arena(w=rng.standard_normal(n)), arena(w=np.zeros(n))
+    ref.data[:] = ours.data
+    state, ref_state = tr.AdamState(), {"step": 0, "m": np.zeros(n), "v": np.zeros(n)}
+    for step in range(20):
+        scale = 1.0 if step % 2 else 1e-4  # every other step's norm exceeds max_grad_norm
+        grads = rng.standard_normal(n) * scale
+        ours.grad[:], ref.grad[:] = grads, grads
+        lr_t = 1e-3 * (step + 1)
+        tr.adam_step(ours, state, lr_t, cfg)
+        _reference_adam_step(ref, ref_state, lr_t, cfg)
+    assert state.step == ref_state["step"] == 20
+    for got, want in ((ours.data, ref.data), (state.m, ref_state["m"]), (state.v, ref_state["v"])):
+        assert np.array_equal(got, want)
+    assert not ours.grad.any()
+
+
+def test_a_warm_adam_step_allocates_less_than_one_arena():
+    n = 100_000
+    group = arena(w=np.ones(n))
+    state, cfg = tr.AdamState(), tr.TrainConfig()
+    grads = np.random.default_rng(0).standard_normal(n)
+    group.grad[:] = grads
+    tr.adam_step(group, state, 1e-3, cfg)  # the first step allocates the four buffers
+    group.grad[:] = grads
+    tracemalloc.start()
+    try:
+        tr.adam_step(group, state, 1e-3, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < group.data.nbytes
 
 
 def test_lr_schedule_endpoints_and_peak():
