@@ -152,11 +152,24 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; leading axes may broadcast."""
+    """Matrix product over the last two axes; leading axes may broadcast.
+
+    Against a 2-D ``b``, ``a``'s leading axes fold into rows, so the forward
+    and both grads are each one 2-D gemm and the weight grad needs no batch sum.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"matmul needs at least 2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+    if b.ndim == 2 and a.ndim > 2:
+        a2 = a.data.reshape(-1, a.shape[-1])
+        out = (a2 @ b.data).reshape(*a.shape[:-1], b.shape[1])
+
+        def folded_backward_fn(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            return [(g2 @ b.data.T).reshape(a.shape), a2.T @ g2]
+
+        return _make("matmul", out, (a, b), folded_backward_fn)
     out = np.matmul(a.data, b.data)
 
     def backward_fn(g):

@@ -42,6 +42,18 @@ def _build_matmul_batched(rng):
     return ad.matmul, [a, b]
 
 
+def _build_matmul_folded(rng):
+    a = _rand(rng, 2, 3, 4)  # leading axes fold into the rows of one 2-D gemm
+    b = _rand(rng, 4, 2)
+    return ad.matmul, [a, b]
+
+
+def _build_matmul_folded_one_row(rng):
+    a = _rand(rng, 3, 1, 4)  # one row per batch item, as the CLS-only last layer projects
+    b = _rand(rng, 4, 2)
+    return ad.matmul, [a, b]
+
+
 def _build_transpose(rng):
     return lambda x: ad.transpose(x, (1, 2, 0)), [_rand(rng, 2, 3, 4)]
 
@@ -101,6 +113,8 @@ OP_TRIALS = {
     "mul": _build_mul,
     "matmul": _build_matmul,
     "matmul_batched": _build_matmul_batched,
+    "matmul_folded": _build_matmul_folded,
+    "matmul_folded_one_row": _build_matmul_folded_one_row,
     "transpose": _build_transpose,
     "reshape": _build_reshape,
     "narrow": _build_narrow,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,44 @@ def test_matmul_shape_mismatch_names_both_shapes():
 def test_matmul_gradients_vs_finite_differences():
     report = run_trials("matmul", n_trials=5, tolerance=1e-6)
     assert report.passed, report
+
+
+@pytest.mark.parametrize("name", ["matmul_folded", "matmul_folded_one_row"])
+def test_folded_matmul_gradients_vs_finite_differences(name):
+    report = run_trials(name, n_trials=5, tolerance=1e-6)
+    assert report.passed, report
+
+
+def _batched_matmul_reference(a, b, g):
+    """The broadcast product and its grads, the weight grad summed over the batch axes."""
+    ga = np.matmul(g, b.T)
+    gb = np.matmul(np.swapaxes(a, -1, -2), g).reshape(-1, *b.shape).sum(axis=0)
+    return np.matmul(a, b), ga, gb
+
+
+@pytest.mark.parametrize("a_shape", [(2, 3, 4), (3, 1, 4), (2, 2, 5, 4), (8, 24, 4)])
+def test_folded_matmul_matches_the_batched_product(a_shape):
+    rng = np.random.default_rng(len(a_shape) * 100 + a_shape[-2])
+    a, b = ad.parameter(rng.standard_normal(a_shape)), ad.parameter(rng.standard_normal((4, 6)))
+    g = rng.standard_normal((*a_shape[:-1], 6))
+    out = ad.matmul(a, b)
+    ad.tsum(ad.mul(out, ad.Tensor(g))).backward()
+    for got, want in zip((out.data, a.grad, b.grad), _batched_matmul_reference(a.data, b.data, g)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_folded_matmul_backward_builds_no_batched_weight_grad():
+    rng = np.random.default_rng(0)
+    a, b = ad.parameter(rng.standard_normal((8, 4, 16))), ad.parameter(rng.standard_normal((16, 500)))
+    loss = ad.tsum(ad.matmul(a, b))
+    tracemalloc.start()
+    try:
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 16 * 500 * 8  # one (8, 16, 500) float64 array, the per-item weight grads
 
 
 def test_softmax_symmetry():
@@ -291,7 +330,8 @@ def test_every_op_the_model_builds_is_grad_checked_and_no_other():
     obj.task_loss(md.stl_forward(stl, ids, mask, train_mode=True, rng=np.random.default_rng(3)), labels[md.TASKS[0]]).backward()
     ad.grad_check("gelu", ad.gelu, [ad.parameter(rng.standard_normal((2, 3)))])
 
-    trial_ops = {"matmul_batched": "matmul", "narrow_rows": "narrow"}
+    trial_ops = {"matmul_batched": "matmul", "matmul_folded": "matmul", "matmul_folded_one_row": "matmul",
+                 "narrow_rows": "narrow"}
     checked = {trial_ops.get(name, name) for name in OP_TRIALS}
     assert set(ad.op_counts()) == checked
 
