@@ -86,13 +86,12 @@ class RunRecord:
 
 @dataclass
 class AdamState:
-    """Step count, the first/second moments of one parameter group's slice, and two
-    scratch buffers of the same size; all four are allocated on the first step."""
+    """Step count, the first/second moments of one parameter group's slice, and one
+    scratch buffer of the same size; all three are allocated on the first step."""
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     t: np.ndarray | None = None
-    s: np.ndarray | None = None
 
 
 def _non_finite_message(tensors: md.ParamGroup) -> str:
@@ -123,30 +122,31 @@ def clip_by_global_norm(tensors: md.ParamGroup, max_norm: float) -> float:
 def adam_step(tensors: md.ParamGroup, state: AdamState, lr_t: float, cfg: TrainConfig) -> None:
     """Global-norm clip, bias-corrected Adam update, grad reset: in place on the group's slices.
 
-    Each ufunc writes into ``m``, ``v`` or a scratch buffer, in the left-to-right
-    order of ``m / (1 - b1**k) / (sqrt(v / (1 - b2**k)) + eps)``, so a step makes
-    no arena-sized temporary and rounds exactly as that expression does.
+    Each ufunc writes into ``m``, ``v``, the scratch buffer or, once both moments
+    are updated, the grad slice, which the step zeroes anyway. They run in the
+    left-to-right order of ``m / (1 - b1**k) / (sqrt(v / (1 - b2**k)) + eps)``, so a
+    step makes no arena-sized temporary and rounds exactly as that expression does.
     """
     g = tensors.grad
     clip_by_global_norm(tensors, cfg.max_grad_norm)
 
     state.step += 1
     if state.m is None:
-        state.m, state.v, state.t, state.s = (np.zeros_like(g) for _ in range(4))
-    b1, b2, m, v, t, s = cfg.adam_beta1, cfg.adam_beta2, state.m, state.v, state.t, state.s
+        state.m, state.v, state.t = np.zeros_like(g), np.zeros_like(g), np.empty_like(g)
+    b1, b2, m, v, t = cfg.adam_beta1, cfg.adam_beta2, state.m, state.v, state.t
     m *= b1
     m += np.multiply(g, 1.0 - b1, out=t)
     v *= b2
     np.multiply(g, 1.0 - b2, out=t)
     t *= g
     v += t
-    np.divide(m, 1.0 - b1**state.step, out=t)
-    np.divide(v, 1.0 - b2**state.step, out=s)
-    np.sqrt(s, out=s)
-    s += cfg.adam_epsilon
-    t /= s
-    t *= lr_t
-    tensors.data -= t
+    np.divide(m, 1.0 - b1**state.step, out=g)
+    np.divide(v, 1.0 - b2**state.step, out=t)
+    np.sqrt(t, out=t)
+    t += cfg.adam_epsilon
+    g /= t
+    g *= lr_t
+    tensors.data -= g
     g.fill(0.0)
 
 
