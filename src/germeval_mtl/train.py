@@ -91,7 +91,7 @@ class AdamState:
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
-    t: np.ndarray | None = None
+    scratch: np.ndarray | None = None
 
 
 def _non_finite_message(tensors: md.ParamGroup) -> str:
@@ -132,8 +132,8 @@ def adam_step(tensors: md.ParamGroup, state: AdamState, lr_t: float, cfg: TrainC
 
     state.step += 1
     if state.m is None:
-        state.m, state.v, state.t = np.zeros_like(g), np.zeros_like(g), np.empty_like(g)
-    b1, b2, m, v, t = cfg.adam_beta1, cfg.adam_beta2, state.m, state.v, state.t
+        state.m, state.v, state.scratch = np.zeros_like(g), np.zeros_like(g), np.empty_like(g)
+    b1, b2, m, v, t = cfg.adam_beta1, cfg.adam_beta2, state.m, state.v, state.scratch
     m *= b1
     m += np.multiply(g, 1.0 - b1, out=t)
     v *= b2

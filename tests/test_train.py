@@ -181,7 +181,7 @@ def test_a_warm_adam_step_allocates_less_than_one_arena():
     state, cfg = tr.AdamState(), tr.TrainConfig()
     grads = np.random.default_rng(0).standard_normal(n)
     group.grad[:] = grads
-    tr.adam_step(group, state, 1e-3, cfg)  # the first step allocates the four buffers
+    tr.adam_step(group, state, 1e-3, cfg)  # the first step allocates the moments and the scratch buffer
     group.grad[:] = grads
     tracemalloc.start()
     try:
