@@ -169,19 +169,28 @@ class ModelParams:
             self.tensors[name].data[...] = arr
 
 
-def _truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    out = rng.standard_normal(shape) * std
-    bad = np.abs(out) > 2 * std
-    while bad.any():
-        out[bad] = rng.standard_normal(int(bad.sum())) * std
-        bad = np.abs(out) > 2 * std
-    return out
+def _truncated_normal(rng: np.random.Generator, out: np.ndarray, std: float = 0.02) -> None:
+    """Fill the C-contiguous ``out`` with N(0, std^2) draws, redrawing every value beyond 2 std.
+
+    Each round redraws, in C order, only the values the last round left
+    outside the bounds.
+    """
+    rng.standard_normal(out=out)
+    out *= std
+    flat = out.reshape(-1)
+    idx = np.flatnonzero(np.abs(flat) > 2 * std)
+    while idx.size:
+        flat[idx] = rng.standard_normal(idx.size) * std
+        idx = idx[np.abs(flat[idx]) > 2 * std]
 
 
 def _fill(params: ModelParams, group: str, rng: np.random.Generator) -> None:
-    """Write each tensor of ``group`` its initial value, drawing in layout order."""
-    for name, shape, init in params.layout[group]:
-        params.tensors[name].data[...] = _truncated_normal(rng, shape) if init == "normal" else init
+    """Write each tensor of ``group`` its initial value in place, drawing in layout order."""
+    for name, _, init in params.layout[group]:
+        if init == "normal":
+            _truncated_normal(rng, params.tensors[name].data)
+        else:
+            params.tensors[name].data[...] = init
 
 
 def init_model(config: EncoderConfig, environment: str, task: str | None = None,

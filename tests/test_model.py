@@ -290,6 +290,44 @@ def test_trimmed_forward_draws_dropout_at_the_padded_shape():
         assert rng.bit_generator.state == reference.bit_generator.state, forward.__name__
 
 
+def _padded_dropout_draws(rng, cfg, batch):
+    """Advance ``rng`` by every mask a train-mode forward draws at the padded shape."""
+    seq = cfg.max_seq_len
+    rng.random((batch, seq, cfg.d_model))
+    for _ in range(cfg.n_layers):
+        for shape in ((batch, cfg.n_heads, seq, seq), (batch, seq, cfg.d_model), (batch, seq, cfg.d_model)):
+            rng.random(shape)
+
+
+def test_trimmed_forward_at_full_length_draws_only_the_kept_block_with_the_padded_stream(monkeypatch):
+    cfg = md.EncoderConfig(vocab_size=40, d_model=32, n_layers=2, n_heads=4, d_ff=32, max_seq_len=120, dropout=0.1)
+    params = md.init_model(cfg, md.MTL, with_mlm_head=True, seed=4)
+    ids, mask = _rows_of_lengths(np.random.default_rng(4), (6, 3), 120, cfg.vocab_size)
+    # Width 8 of 120: every mask, the CLS-only layer's too, skips enough per run to be drawn run by run
+    assert min((120 - 8) * cfg.d_model, (120 - 8) * 120) >= ad._MIN_SKIP_PER_RUN
+    for forward in (md.encoder_forward, md.mtl_forward, md.mlm_forward):
+        rng, reference = np.random.default_rng(9), np.random.default_rng(9)
+        kept = forward(params, ids, mask, True, rng)
+        _padded_dropout_draws(reference, cfg, len(ids))
+        assert rng.bit_generator.state == reference.bit_generator.state, forward.__name__
+        with monkeypatch.context() as m:
+            m.setattr(ad, "_MIN_SKIP_PER_RUN", math.inf)  # every mask from the padded draw
+            padded = forward(params, ids, mask, True, np.random.default_rng(9))
+        kept, padded = (list(out.values()) if isinstance(out, dict) else [out] for out in (kept, padded))
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(kept, padded)), forward.__name__
+
+
+def test_train_mode_forward_on_a_generator_without_advance_draws_the_padded_stream():
+    cfg = md.EncoderConfig(vocab_size=40, d_model=32, n_layers=2, n_heads=4, d_ff=32, max_seq_len=120, dropout=0.1)
+    params = md.init_model(cfg, md.MTL, seed=4)
+    ids, mask = _rows_of_lengths(np.random.default_rng(4), (6, 3), 120, cfg.vocab_size)
+    rng, reference = (np.random.Generator(np.random.MT19937(9)) for _ in range(2))
+    md.encoder_forward(params, ids, mask, True, rng)
+    _padded_dropout_draws(reference, cfg, len(ids))
+    state, expected = rng.bit_generator.state["state"], reference.bit_generator.state["state"]
+    assert state["pos"] == expected["pos"] and np.array_equal(state["key"], expected["key"])
+
+
 def test_batch_that_fills_the_length_or_attends_nowhere_keeps_the_full_width():
     params = md.init_model(TINY, md.MTL, seed=12)
     ids, mask = _rows_of_lengths(np.random.default_rng(12), (10, 4), 10, TINY.vocab_size)
@@ -434,6 +472,33 @@ def test_optimizer_groups_are_single_slices():
     assert list(params.group("encoder")) == params.encoder_tensor_names()
     whole = params.group("heads", "mlm")  # first through last: the whole arena
     assert list(whole) == list(params.tensors) and whole.data.size == params.tensors.data.size
+
+
+def _expression_form_arena(config, environment, task, with_mlm_head, seed):
+    """The arena as initialisation wrote it before drawing into the arena: whole-array redraw rounds."""
+    params = md.ModelParams(config, environment, task, with_mlm_head)
+    for group, stream in (("encoder", 0), ("heads", 1)):
+        rng = np.random.default_rng((seed, stream))
+        for name, shape, init in params.layout[group]:
+            if init != "normal":
+                params.tensors[name].data[...] = init
+                continue
+            out = rng.standard_normal(shape) * 0.02
+            bad = np.abs(out) > 0.04
+            while bad.any():
+                out[bad] = rng.standard_normal(int(bad.sum())) * 0.02
+                bad = np.abs(out) > 0.04
+            params.tensors[name].data[...] = out
+    return params.tensors.data
+
+
+@pytest.mark.parametrize("environment, task, with_mlm_head", [
+    (md.STL, "toxic", False), (md.MTL, None, False), (md.MTL, None, True)])
+def test_init_model_draws_into_the_arena_the_bytes_of_the_expression_form(environment, task, with_mlm_head):
+    config = md.EncoderConfig()
+    params = md.init_model(config, environment, task, with_mlm_head, seed=7)
+    expected = _expression_form_arena(config, environment, task, with_mlm_head, seed=7)
+    assert params.tensors.data.tobytes() == expected.tobytes()
 
 
 def test_load_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):

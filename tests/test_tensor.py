@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from germeval_mtl import autodiff as ad
@@ -166,6 +166,58 @@ def test_dropout_larger_draw_shape_keeps_the_leading_block():
     full = ad.dropout(ad.Tensor(np.ones((2, 5, 4))), 0.4, full_rng)
     assert np.array_equal(block.data, full.data[:, :1, :3])
     assert block_rng.bit_generator.state == full_rng.bit_generator.state
+
+
+def _same_state(a, b) -> bool:
+    """Bit-generator states equal, including those that hold arrays (MT19937's key)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+@st.composite
+def _dropout_blocks(draw):
+    """A draw shape of rank 1-4 and a leading block of it; the last axis runs past the size rule."""
+    rank = draw(st.integers(1, 4))
+    draw_shape = [draw(st.integers(1, 4)) for _ in range(rank - 1)] + [draw(st.integers(1, 3 * ad._MIN_SKIP_PER_RUN))]
+    shape = tuple(draw(st.integers(0, d)) for d in draw_shape)
+    return shape, tuple(draw_shape), draw(st.sampled_from([np.random.PCG64, np.random.PCG64DXSM]))
+
+
+@given(_dropout_blocks(), st.integers(0, 2**32 - 1))
+@example(((8, 16, 128), (8, 120, 128), np.random.PCG64), 0)  # one run per row
+@example(((8, 4, 16, 16), (8, 4, 120, 120), np.random.PCG64), 1)  # per (row, head): 16 x 120 kept
+@example(((8, 4, 1, 120), (8, 4, 120, 120), np.random.PCG64DXSM), 2)  # a CLS-only attention plane
+@example(((8, 16, 64), (8, 24, 64), np.random.PCG64), 3)  # 512 skipped per row: the padded draw
+@example(((2, 0, 3000), (2, 2, 3000), np.random.PCG64), 4)  # empty runs still advance
+@settings(max_examples=60, deadline=None)
+def test_dropout_draws_the_padded_mask_and_leaves_the_padded_state(case, seed):
+    shape, draw_shape, bit_generator = case
+    rng, reference = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+    out = ad.dropout(ad.Tensor(np.ones(shape)), 0.4, rng, draw_shape)
+    expected = (reference.random(draw_shape)[tuple(slice(0, n) for n in shape)] >= 0.4) / 0.6
+    assert out.data.shape == shape and np.array_equal(out.data, expected)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def _buffered_pcg64(seed):
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 10, dtype=np.int32)  # leaves the other half of a 64-bit output buffered
+    assert rng.bit_generator.state["has_uint32"]
+    return rng
+
+
+@pytest.mark.parametrize("make_rng", [
+    lambda seed: np.random.Generator(np.random.MT19937(seed)),  # no advance
+    lambda seed: np.random.Generator(np.random.Philox(seed)),  # advance steps whole 4-output blocks
+    _buffered_pcg64,  # advance would drop the buffered value
+], ids=["MT19937", "Philox", "PCG64-buffered-uint32"])
+def test_dropout_falls_back_to_the_padded_draw(make_rng):
+    shape, draw_shape = (8, 16, 128), (8, 120, 128)  # a plain PCG64 generator draws this run by run
+    rng, reference = make_rng(5), make_rng(5)
+    out = ad.dropout(ad.Tensor(np.ones(shape)), 0.4, rng, draw_shape)
+    assert np.array_equal(out.data, (reference.random(draw_shape)[:, :16] >= 0.4) / 0.6)
+    assert _same_state(rng.bit_generator.state, reference.bit_generator.state)
 
 
 @pytest.mark.parametrize("draw_shape", [(3,), (3, 4, 1), (2, 4), (3, 3)])
