@@ -232,15 +232,16 @@ def encoder_forward(params: ModelParams, ids: np.ndarray, attention_mask: np.nda
     column any row attends to, rounded up to a multiple of 8 in
     ``train_mode`` and of 32 in eval mode, and capped at L (L itself when
     no column is attended). The trimmed columns are padding in every row,
-    so no attended state depends on them. Every dropout mask is still
-    drawn at the padded shape, (B, L, d) or (B, H, L, L), so ``rng``
-    advances exactly as for the full width. The coarser eval step keeps
-    the cost of evaluation and prediction from following where a
-    dataset's few longest rows fall.
+    so no attended state depends on them. Every dropout mask is the
+    leading block of the mask of the padded shape, (B, L, d) or
+    (B, H, L, L), and ``rng`` advances exactly as for the full width,
+    while ``ad.dropout`` draws only the kept block where it can (see
+    there). The coarser eval step keeps the cost of evaluation and
+    prediction from following where a dataset's few longest rows fall.
 
     With ``cls_only`` the result is the CLS state alone, shape (B, 1, d):
     the last layer attends from position 0 only (its keys and values still
-    come from every position), and its dropout masks are drawn at the full
+    come from every position), and its dropout masks are cut from the full
     shape too.
     """
     cfg = params.config

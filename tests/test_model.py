@@ -299,6 +299,10 @@ def _padded_dropout_draws(rng, cfg, batch):
             rng.random(shape)
 
 
+def _outputs(out) -> list:
+    return list(out.values()) if isinstance(out, dict) else [out]
+
+
 def test_trimmed_forward_at_full_length_draws_only_the_kept_block_with_the_padded_stream(monkeypatch):
     cfg = md.EncoderConfig(vocab_size=40, d_model=32, n_layers=2, n_heads=4, d_ff=32, max_seq_len=120, dropout=0.1)
     params = md.init_model(cfg, md.MTL, with_mlm_head=True, seed=4)
@@ -313,8 +317,7 @@ def test_trimmed_forward_at_full_length_draws_only_the_kept_block_with_the_padde
         with monkeypatch.context() as m:
             m.setattr(ad, "_MIN_SKIP_PER_RUN", math.inf)  # every mask from the padded draw
             padded = forward(params, ids, mask, True, np.random.default_rng(9))
-        kept, padded = (list(out.values()) if isinstance(out, dict) else [out] for out in (kept, padded))
-        assert all(np.array_equal(a.data, b.data) for a, b in zip(kept, padded)), forward.__name__
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(_outputs(kept), _outputs(padded))), forward.__name__
 
 
 def test_train_mode_forward_on_a_generator_without_advance_draws_the_padded_stream():
